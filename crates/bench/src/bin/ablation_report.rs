@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for four design choices of the cordon algorithms:
 //!
 //! * A1 — prefix doubling vs the naive "probe everything" cordon search for
 //!   convex GLWS (how much probing work each strategy does),

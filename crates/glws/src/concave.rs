@@ -14,15 +14,17 @@
 //!    freshly built `B_new` (decisions from the new frontier) must be merged
 //!    with `B_old`.  By concave decision monotonicity the states preferring a
 //!    new decision form a prefix `[cordon, p]`; the cut point `p` is found with
-//!    one binary search that compares the two arrays' candidates (the
-//!    simplification of Alg. 2 discussed in DESIGN.md; Alg. 2 itself is kept as
-//!    an alternative for the ablation benchmark).
+//!    one binary search that compares the two arrays' candidates.  This is a
+//!    simplification of the paper's Alg. 2, which is kept as
+//!    [`ConcaveMergeStrategy::PaperAlgorithm2`] for the ablation benchmark
+//!    (`ablation_report`, study A3).
 
 use crate::best::BestDecisionArray;
+use crate::convex::{argmin_decision, find_intervals_work};
 use crate::cost::GlwsProblem;
 use crate::GlwsResult;
 use pardp_core::{prefix_doubling_cordon, run_phase_parallel, PhaseParallel};
-use pardp_parutils::{maybe_join, round_min_grain, MetricsCollector};
+use pardp_parutils::{round_min_grain, MetricsCollector, SEQ_CUTOFF};
 use rayon::prelude::*;
 
 /// Strategy used to merge the new and old best-decision arrays after a round.
@@ -193,7 +195,8 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
 }
 
 /// Concave `FindIntervals`: like the convex version but with the decision
-/// ranges swapped between the two recursive calls.
+/// ranges swapped between the two recursive calls, and the same work-based
+/// fork gate ([`find_intervals_work`]).
 #[allow(clippy::too_many_arguments)]
 fn find_intervals_concave<P: GlwsProblem>(
     problem: &P,
@@ -213,28 +216,31 @@ fn find_intervals_concave<P: GlwsProblem>(
         return;
     }
     let im = (il + ir) / 2;
-    let jm = crate::convex::argmin_decision(problem, d, jl, jr, im, metrics);
-    let state_count = ir - il + 1;
-    let (mut left, right) = maybe_join(
-        state_count,
+    let jm = argmin_decision(problem, d, jl, jr, im, metrics);
+    // Earlier states prefer later (or equal) decisions, later states prefer
+    // earlier (or equal) ones.
+    if find_intervals_work(ir - il + 1, jr - jl + 1) < SEQ_CUTOFF {
+        if im > il {
+            find_intervals_concave(problem, d, jm, jr, il, im - 1, out, metrics);
+        }
+        out.push((im, im, jm));
+        find_intervals_concave(problem, d, jl, jm, im + 1, ir, out, metrics);
+        return;
+    }
+    let ((), right) = rayon::join(
         || {
-            let mut v = Vec::new();
             if im > il {
-                // Earlier states prefer later (or equal) decisions.
-                find_intervals_concave(problem, d, jm, jr, il, im - 1, &mut v, metrics);
+                find_intervals_concave(problem, d, jm, jr, il, im - 1, out, metrics);
             }
-            v
         },
         || {
             let mut v = Vec::new();
-            // Later states prefer earlier (or equal) decisions.
             find_intervals_concave(problem, d, jl, jm, im + 1, ir, &mut v, metrics);
             v
         },
     );
-    left.push((im, im, jm));
-    left.extend(right);
-    out.extend(left);
+    out.push((im, im, jm));
+    out.extend(right);
 }
 
 /// Value of state `i` using decision `j` (which must be finalized in `d`).

@@ -32,7 +32,7 @@ use crate::best::BestDecisionArray;
 use crate::cost::GlwsProblem;
 use crate::GlwsResult;
 use pardp_core::{prefix_doubling_cordon, run_phase_parallel, PhaseParallel};
-use pardp_parutils::{maybe_join, round_min_grain, MetricsCollector};
+use pardp_parutils::{round_min_grain, MetricsCollector, SEQ_CUTOFF};
 use rayon::prelude::*;
 
 /// Tie handling: a probe state places a sentinel wherever it is at least as
@@ -194,6 +194,19 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
     }
 }
 
+/// Estimated work of a `FindIntervals` call over `states` states and
+/// `decisions` candidate decisions: a bound on its recursion nodes.  The
+/// recursion has `⌊log₂ states⌋ + 1` levels, and the decision ranges of one
+/// level overlap only at their endpoints, so at most `decisions` nodes per
+/// level still hold more than one decision (a single-decision node emits its
+/// whole state range at once).  Both `FindIntervals` variants fork only when
+/// this reaches [`SEQ_CUTOFF`]: a narrow frontier over a long state range is
+/// a few hundred argmin steps, however many states it spans.
+pub(crate) fn find_intervals_work(states: usize, decisions: usize) -> usize {
+    let levels = states.max(1).ilog2() as usize + 1;
+    states.min(decisions.saturating_mul(levels))
+}
+
 /// `FindIntervals(jl, jr, il, ir)` (Alg. 1 lines 23–32): compute the
 /// best-decision triples of the states `il..=ir` restricted to decisions
 /// `jl..=jr`, exploiting convex decision monotonicity to split both ranges
@@ -220,15 +233,19 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
     let im = (il + ir) / 2;
     // Best decision for the midpoint state among [jl, jr] (leftmost argmin).
     let jm = argmin_decision(problem, d, jl, jr, im, metrics);
-    let state_count = ir - il + 1;
-    let (mut left, right) = maybe_join(
-        state_count,
+    if find_intervals_work(ir - il + 1, jr - jl + 1) < SEQ_CUTOFF {
+        if im > il {
+            find_intervals(problem, d, jl, jm, il, im - 1, out, metrics);
+        }
+        out.push((im, im, jm));
+        find_intervals(problem, d, jm, jr, im + 1, ir, out, metrics);
+        return;
+    }
+    let ((), right) = rayon::join(
         || {
-            let mut v = Vec::new();
             if im > il {
-                find_intervals(problem, d, jl, jm, il, im - 1, &mut v, metrics);
+                find_intervals(problem, d, jl, jm, il, im - 1, out, metrics);
             }
-            v
         },
         || {
             let mut v = Vec::new();
@@ -236,9 +253,8 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
             v
         },
     );
-    left.push((im, im, jm));
-    left.extend(right);
-    out.extend(left);
+    out.push((im, im, jm));
+    out.extend(right);
 }
 
 /// Leftmost argmin of `E[j] + w(j, i)` over `j in [jl, jr]` (all decisions

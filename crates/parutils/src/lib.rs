@@ -26,7 +26,7 @@ pub mod reduce;
 pub mod scan;
 pub mod sort;
 
-pub use grain::{round_block_count, round_min_grain, with_grain_policy, GrainHint, GrainPolicy};
+pub use grain::{round_min_grain, with_grain_policy, GrainHint, GrainPolicy};
 pub use metrics::{Metrics, MetricsCollector};
 pub use pack::{par_filter, par_pack_index};
 pub use par::{maybe_join, par_chunks_mut_indexed, par_map, with_threads, SEQ_CUTOFF};

@@ -7,6 +7,10 @@
 //! end — the engine must produce bit-identical results whether the threaded
 //! pool is off (1 thread, fully inline) or on with any worker count.
 
+use parallel_dp::glws::{
+    parallel_concave_glws, parallel_convex_glws, sequential_concave_glws, sequential_convex_glws,
+    ClosureCost, GlwsResult, PostOfficeProblem,
+};
 use parallel_dp::parutils::with_threads;
 use parallel_dp::treedp::{
     parallel_tree_glws_hld, sequential_tree_glws, CostShape, TreeGlwsInstance,
@@ -80,35 +84,67 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
     );
 }
 
-#[test]
-fn packed_gap_is_bit_identical_across_speculative_block_counts() {
-    // The block-parallel speculative sweep must be invisible: any forced
-    // block count (1 = pure sequential sweep, n = one row per block) at any
-    // thread count reproduces the auto-blocked run bit for bit — same grid,
-    // same round schedule (rounds == effective depth, pinned in the gap
-    // crate's unit tests), same frontier sizes.
-    let (a, b) = workloads::gap_strings(220, 180, 4, 5);
-    let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
-    let baseline = with_threads(1, || parallel_dp::gap::parallel_gap_packed(&inst));
+/// Pin `d`, `best` and the round schedule of a GLWS solver at every thread
+/// count against its one-thread run, and `d` against the sequential solver.
+fn assert_glws_bit_identical(
+    name: &str,
+    solve: impl Fn() -> GlwsResult + Sync,
+    sequential: impl FnOnce() -> GlwsResult,
+) {
+    let baseline = with_threads(1, &solve);
     for t in THREAD_COUNTS {
-        for blocks in [1usize, 2, 8, usize::MAX] {
-            let run = with_threads(t, || {
-                parallel_dp::gap::parallel_gap_packed_with_blocks(&inst, blocks)
-            });
-            assert_eq!(
-                run.d, baseline.d,
-                "packed GAP grid differs at {t} threads, {blocks} blocks"
-            );
-            assert_eq!(run.cost, baseline.cost);
-            assert_eq!(
-                run.metrics.rounds, baseline.metrics.rounds,
-                "round count differs at {t} threads, {blocks} blocks"
-            );
-            assert_eq!(
-                run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
-                "round schedule differs at {t} threads, {blocks} blocks"
-            );
-        }
+        let run = with_threads(t, &solve);
+        assert_eq!(run.d, baseline.d, "{name}: d[] differs at {t} threads");
+        assert_eq!(
+            run.best, baseline.best,
+            "{name}: decisions differ at {t} threads"
+        );
+        assert_eq!(
+            run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
+            "{name}: round schedule differs at {t} threads"
+        );
+    }
+    assert_eq!(
+        baseline.d,
+        sequential().d,
+        "{name}: parallel GLWS disagrees with the sequential baseline"
+    );
+}
+
+#[test]
+fn convex_glws_results_are_bit_identical_across_thread_counts() {
+    // Wide: 10 clusters of ~20 000 villages, so FindIntervals has enough
+    // work to fork.  Narrow: ~10-state frontiers over a long state range,
+    // which must stay on the sequential branch.
+    for (name, n, k) in [("wide", 200_000, 10), ("narrow", 20_000, 2_000)] {
+        let w = workloads::post_office_instance(n, k, 13);
+        let p = PostOfficeProblem::new(w.coords, w.open_cost);
+        assert_glws_bit_identical(
+            name,
+            || parallel_convex_glws(&p),
+            || sequential_convex_glws(&p),
+        );
+    }
+}
+
+#[test]
+fn concave_glws_results_are_bit_identical_across_thread_counts() {
+    // Capped-linear (concave) gap cost with a bonus on every `period`-th
+    // state: the optimum chains through the bonus states, so each round's
+    // frontier is about `period` states.  Wide: 1 000-state frontiers over
+    // 200 000 states fork FindIntervals.  Narrow: 7-state frontiers.
+    for (name, n, period) in [("wide", 200_000usize, 1_000usize), ("narrow", 20_000, 7)] {
+        let p = ClosureCost::new(
+            n,
+            0,
+            |j, i| 200 + 5 * ((i - j).min(40) as i64),
+            move |d, j| d - if j % period == 3 { 400 } else { 0 },
+        );
+        assert_glws_bit_identical(
+            name,
+            || parallel_concave_glws(&p),
+            || sequential_concave_glws(&p),
+        );
     }
 }
 

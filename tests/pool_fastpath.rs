@@ -46,13 +46,35 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         "a sub-grain run must not wake any worker"
     );
 
-    // Packed GAP on a small instance: every round offers fewer candidate
-    // rows than twice the speculative block floor (MIN_BLOCK_ROWS = 64), so
-    // the block planner returns one block on ANY host — the capped
-    // `available_parallelism()` path — and the sweep runs sequentially with
-    // sub-grain publish loops.  Even with 8 threads installed, the whole
-    // solve must push zero jobs and wake zero workers.
-    let (ga, gb) = workloads::gap_strings(120, 110, 4, 9);
+    // Convex GLWS with a narrow frontier: 2 000 clusters of ~10 villages, so
+    // each round's FindIntervals recursion argmins over ~10 decisions while
+    // spanning up to 20 000 states.  Its fork gate counts that work, not the
+    // state range, so the whole solve must stay inline at 8 threads.
+    let po = workloads::post_office_instance(20_000, 2_000, 11);
+    let problem = parallel_dp::glws::PostOfficeProblem::new(po.coords, po.open_cost);
+    let expected = parallel_dp::glws::sequential_convex_glws(&problem);
+
+    let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
+    let run = with_threads(8, || parallel_dp::glws::parallel_convex_glws(&problem));
+    let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
+
+    assert_eq!(run.d, expected.d);
+    assert_eq!(
+        pushes_after - pushes_before,
+        0,
+        "a narrow-frontier convex GLWS solve must not touch the injector"
+    );
+    assert_eq!(
+        wakeups_after - wakeups_before,
+        0,
+        "a narrow-frontier convex GLWS solve must not wake any worker"
+    );
+
+    // Packed GAP: the staircase sweep is sequential, and a 400 x 400 grid
+    // publishes at most 401 rows or columns per round, below the grain
+    // cutoff.  Even with 8 threads installed, the whole solve must push zero
+    // jobs and wake zero workers.
+    let (ga, gb) = workloads::gap_strings(400, 400, 4, 9);
     let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
     let expected = parallel_dp::gap::sequential_gap(&ginst);
 
@@ -64,12 +86,12 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
     assert_eq!(
         pushes_after - pushes_before,
         0,
-        "a sub-block packed-GAP solve must not touch the injector"
+        "a packed-GAP solve below the grain cutoff must not touch the injector"
     );
     assert_eq!(
         wakeups_after - wakeups_before,
         0,
-        "a sub-block packed-GAP solve must not wake any worker"
+        "a packed-GAP solve below the grain cutoff must not wake any worker"
     );
 
     // Sanity check that the counters are live at all: an explicit sub-length
