@@ -1,4 +1,4 @@
-//! Benchmark harness shared by the criterion benches and the report binaries.
+//! Benchmark harness shared by the report binaries.
 //!
 //! Every evaluation figure of the paper has a `run_*` function here that
 //! produces one row per swept parameter value, reporting wall-clock times for
@@ -18,7 +18,6 @@ use pardp_obst::{knuth_obst, parallel_obst};
 use pardp_parutils::{with_threads, Metrics};
 use pardp_treedp::{parallel_tree_glws_auto, sequential_tree_glws, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Measure the wall-clock seconds of one invocation of `f`.
@@ -33,7 +32,7 @@ pub fn time_secs<R>(f: impl FnOnce() -> R) -> (f64, R) {
 // ---------------------------------------------------------------------------
 
 /// One row of the Fig. 6 table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// Number of matching pairs `L`.
     pub l: usize,
@@ -100,7 +99,7 @@ pub fn print_fig6(rows: &[Fig6Row]) {
 // ---------------------------------------------------------------------------
 
 /// One row of the Fig. 7 table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Number of villages `n`.
     pub n: usize,
@@ -174,7 +173,7 @@ pub fn print_fig7(rows: &[Fig7Row]) {
 // ---------------------------------------------------------------------------
 
 /// One (problem, thread count) measurement of the speedup trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Problem / instance label.
     pub problem: String,
@@ -475,8 +474,8 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     rows
 }
 
-/// Serialize speedup rows as the `BENCH_speedup.json` document (hand-rolled:
-/// the offline `serde` shim does not provide serialization).
+/// Serialize speedup rows as the `BENCH_speedup.json` document (hand-rolled,
+/// so the harness needs no serialization dependency).
 pub fn speedup_rows_to_json(rows: &[SpeedupRow], quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");

@@ -84,6 +84,11 @@ fn run_allocation_free<C: PhaseParallel>(
         "{name}: instance too small to measure steady state"
     );
 
+    // Let the test harness's main thread finish its (allocating) bookkeeping
+    // for the freshly spawned test thread; the measured region below must
+    // only see this thread's rounds.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
     // Steady state: every remaining round must leave the counter alone.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     while !cordon.is_done() {
