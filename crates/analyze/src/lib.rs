@@ -919,7 +919,7 @@ fn scan_alloc_patterns(
 }
 
 /// L4: all parallelism flows through the rayon shim — no raw `Mutex`,
-/// `Condvar`, or `thread::spawn` elsewhere, so determinism and grain policy
+/// `Condvar`, or `thread::spawn` elsewhere, so determinism and grain sizing
 /// stay centralized.
 fn check_raw_parallelism(scan: &FileScan, config: &Config, findings: &mut Vec<Finding>) {
     let t = &scan.tokens;
@@ -937,7 +937,7 @@ fn check_raw_parallelism(scan: &FileScan, config: &Config, findings: &mut Vec<Fi
                     t[i].line,
                     format!(
                         "raw `{name}` outside `crates/compat/rayon`: route synchronization \
-                         through the shim so determinism and grain policy stay centralized"
+                         through the shim so determinism and grain sizing stay centralized"
                     ),
                 );
             }

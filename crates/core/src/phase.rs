@@ -7,7 +7,9 @@
 //! problem, and that logic lives in the problem crates.  Centralizing the loop
 //! here gives every algorithm identical round accounting — one
 //! [`MetricsCollector::record_round`] per round, which also logs the frontier
-//! size — and a single place to guard against non-termination:
+//! size — and a single place to guard against non-termination.  Per round
+//! the loop itself does O(1) work and no heap allocation: one budget check,
+//! one [`PhaseParallel::round_with`] call and one `record_round`.  The guards:
 //!
 //! * a **progress guard**: a round that finalizes zero states while the
 //!   instance is not done is a [`StallError::NoProgress`];
@@ -20,29 +22,20 @@
 //! with a typed message constant); [`try_run_phase_parallel`] returns the
 //! error for callers that want to handle it.
 
-use pardp_parutils::{with_grain_policy, GrainPolicy, MetricsCollector};
+use pardp_parutils::MetricsCollector;
 
-/// Reusable double-buffered frontier storage owned by the phase-parallel
-/// driver.
+/// Reusable frontier scratch owned by the phase-parallel driver.
 ///
-/// Cordon instances that build an explicit frontier each round historically
-/// allocated a fresh `Vec` per round.  The driver now owns one arena per run
-/// and threads it through [`PhaseParallel::round_with`]; instances that opt in
-/// build the next frontier in [`FrontierArena::next_mut`], call
-/// [`FrontierArena::swap`], and read the current frontier from
-/// [`FrontierArena::current`].  Buffers are `clear()`-ed, never shrunk, so
-/// after the first few rounds reach the high-water mark the driver loop
+/// The driver owns one arena per run and threads it through
+/// [`PhaseParallel::round_with`].  Instances that stage an explicit frontier
+/// or per-element pairs each round use [`FrontierArena::next_mut`] or
+/// [`FrontierArena::pairs_mut`] instead of allocating.  Buffers are cleared,
+/// never shrunk, so once they reach their high-water mark the driver loop
 /// performs zero heap allocation per round (asserted by the counting-allocator
 /// test in `tests/alloc_counting.rs`).
-///
-/// Two index buffers cover the frontier itself; [`FrontierArena::values_mut`]
-/// is a general `i64` scratch for per-round DP rows (OBST diagonals, GAP row
-/// segments) via `collect_into_vec`.
 #[derive(Debug, Default)]
 pub struct FrontierArena {
-    current: Vec<usize>,
     next: Vec<usize>,
-    values: Vec<i64>,
     pairs: Vec<(u64, u64)>,
 }
 
@@ -52,34 +45,10 @@ impl FrontierArena {
         Self::default()
     }
 
-    /// The frontier finalized by the previous [`FrontierArena::swap`].
-    pub fn current(&self) -> &[usize] {
-        &self.current
-    }
-
-    /// Cleared buffer for building the next frontier (capacity retained).
+    /// Cleared buffer for building a frontier (capacity retained).
     pub fn next_mut(&mut self) -> &mut Vec<usize> {
         self.next.clear();
         &mut self.next
-    }
-
-    /// Borrow both frontier buffers at once: the current (read) frontier and
-    /// the cleared next (write) buffer.
-    pub fn buffers(&mut self) -> (&[usize], &mut Vec<usize>) {
-        self.next.clear();
-        (&self.current, &mut self.next)
-    }
-
-    /// Promote the next frontier to current.  The old current buffer becomes
-    /// the next round's write buffer without deallocating.
-    pub fn swap(&mut self) {
-        std::mem::swap(&mut self.current, &mut self.next);
-    }
-
-    /// Cleared `i64` scratch row (capacity retained), for `collect_into_vec`.
-    pub fn values_mut(&mut self) -> &mut Vec<i64> {
-        self.values.clear();
-        &mut self.values
     }
 
     /// Cleared `(u64, u64)` scratch row (capacity retained), for rounds that
@@ -89,14 +58,6 @@ impl FrontierArena {
     pub fn pairs_mut(&mut self) -> &mut Vec<(u64, u64)> {
         self.pairs.clear();
         &mut self.pairs
-    }
-
-    /// Drop all contents but keep every buffer's capacity.
-    pub fn clear(&mut self) {
-        self.current.clear();
-        self.next.clear();
-        self.values.clear();
-        self.pairs.clear();
     }
 }
 
@@ -175,7 +136,7 @@ pub trait PhaseParallel {
 
     /// Like [`PhaseParallel::round`], with access to the driver's reusable
     /// [`FrontierArena`].  Instances whose rounds build explicit frontiers or
-    /// per-round DP rows override this to stage them in the arena's buffers
+    /// per-element pairs override this to stage them in the arena's buffers
     /// instead of allocating; the default simply delegates to `round`.
     fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
         let _ = arena;
@@ -303,7 +264,6 @@ pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
         // the round loop.
         metrics.reserve_rounds(budget as usize);
     }
-    let mut policy = GrainPolicy::new();
     let mut arena = FrontierArena::new();
     let mut rounds: u64 = 0;
     let mut states: u64 = 0;
@@ -316,13 +276,12 @@ pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
                 });
             }
         }
-        let frontier = with_grain_policy(&policy, || instance.round_with(metrics, &mut arena));
+        let frontier = instance.round_with(metrics, &mut arena);
         if frontier == 0 {
             return Err(StallError::NoProgress {
                 rounds_completed: rounds,
             });
         }
-        policy.observe(frontier as u64);
         rounds += 1;
         states += frontier as u64;
         metrics.record_round(frontier as u64);
@@ -489,9 +448,8 @@ mod tests {
         );
     }
 
-    /// Builds each round's frontier in the driver's arena and checks the
-    /// double-buffering contract: what was written to `next` last round is
-    /// readable as `current` this round, and capacities are retained.
+    /// Builds each round's frontier in the driver's arena and checks that
+    /// the buffer's capacity is retained across rounds.
     struct ArenaUser {
         remaining: usize,
         cap_high_water: usize,
@@ -506,25 +464,21 @@ mod tests {
             unreachable!("the driver must call round_with, not round")
         }
         fn round_with(&mut self, _metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-            let (current, next) = arena.buffers();
-            assert_eq!(
-                current.len(),
-                self.remaining.min(3),
-                "current frontier is last round's next"
-            );
-            let f = self.remaining.min(3);
-            self.remaining -= f;
-            next.extend(0..self.remaining.min(3));
-            self.cap_high_water = self.cap_high_water.max(next.capacity());
+            let next = arena.next_mut();
+            assert!(next.is_empty(), "next_mut hands out a cleared buffer");
             assert!(
-                next.capacity() >= self.cap_high_water || self.remaining == 0,
+                next.capacity() >= self.cap_high_water,
                 "arena buffers must never shrink"
             );
-            arena.swap();
+            // Shrinking frontiers: the first round sets the high-water mark.
+            let f = self.remaining.min(3);
+            next.extend(0..self.remaining);
+            self.cap_high_water = self.cap_high_water.max(next.capacity());
+            self.remaining -= f;
             f
         }
         fn finish(self) -> usize {
-            self.remaining
+            self.cap_high_water
         }
         fn round_budget(&self) -> Option<u64> {
             Some(self.remaining as u64)
@@ -534,51 +488,15 @@ mod tests {
     #[test]
     fn driver_threads_the_arena_through_round_with() {
         let metrics = MetricsCollector::new();
-        let mut arena = FrontierArena::new();
-        arena.next_mut().extend(0..3); // seed the first round's frontier
-        arena.swap();
-        // The driver builds its own arena, so drive manually-seeded state via
-        // the default path: a fresh instance whose first round expects an
-        // empty current frontier.
-        let out = run_phase_parallel(
+        let high_water = run_phase_parallel(
             ArenaUser {
-                remaining: 0,
+                remaining: 10,
                 cap_high_water: 0,
             },
             &metrics,
         );
-        assert_eq!(out, 0);
-
-        // Full run: 10 states in frontiers of ≤ 3; first round sees an empty
-        // current buffer (nothing swapped in yet), later rounds see what the
-        // previous round staged.
-        let metrics = MetricsCollector::new();
-        let mut instance = ArenaUser {
-            remaining: 10,
-            cap_high_water: 0,
-        };
-        let mut arena = FrontierArena::new();
-        arena.next_mut().extend(0..3);
-        arena.swap();
-        let mut total = 0;
-        while !instance.is_done() {
-            total += instance.round_with(&metrics, &mut arena);
-        }
-        assert_eq!(total, 10);
-        assert!(instance.cap_high_water >= 3);
-    }
-
-    #[test]
-    fn arena_clear_retains_capacity() {
-        let mut arena = FrontierArena::new();
-        arena.next_mut().extend(0..1024);
-        arena.values_mut().extend(0..1024);
-        arena.swap(); // big buffer now in `current`
-        arena.swap(); // ... and back in `next`
-        arena.clear();
-        assert!(arena.current().is_empty());
-        assert!(arena.next_mut().capacity() >= 1024);
-        assert!(arena.values_mut().capacity() >= 1024);
+        assert!(high_water >= 10);
+        assert_eq!(metrics.snapshot().frontier_sizes, vec![3, 3, 3, 1]);
     }
 
     #[test]

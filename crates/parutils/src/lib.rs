@@ -9,8 +9,7 @@
 //! * granularity-controlled helpers ([`par`]) so that the parallel algorithms
 //!   degrade gracefully to their sequential counterparts on tiny inputs,
 //! * the ParlayLib-style parallel sort the algorithms rely on ([`sort`]),
-//! * the per-round grain policy that sizes each round's parallel loop
-//!   ([`grain`]),
+//! * the fixed grain rule that sizes each round's parallel loops ([`grain`]),
 //! * work/round instrumentation ([`metrics`]) used by the benchmark harness to
 //!   report *operation counts* in addition to wall-clock time, which is how we
 //!   validate the paper's work bounds on machines with few cores.
@@ -23,7 +22,7 @@ pub mod metrics;
 pub mod par;
 pub mod sort;
 
-pub use grain::{round_min_grain, with_grain_policy, GrainHint, GrainPolicy};
+pub use grain::{round_min_grain, GrainHint};
 pub use metrics::{Metrics, MetricsCollector};
 pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};
 pub use sort::{par_sort_by_key, par_sort_by_key_with};

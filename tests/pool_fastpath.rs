@@ -95,7 +95,7 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
     );
 
     // Sanity check that the counters are live at all: an explicit sub-length
-    // `with_min_len` forces the producer to split whatever the grain policy
+    // `with_min_len` forces the producer to split whatever the grain rule
     // (or the host's core count) would decide, so the non-worker driver
     // thread must push injector jobs.
     let (pushes_before, _) = rayon::dispatch_diagnostics();
