@@ -13,10 +13,10 @@ use pardp_gap::{convex_gap_instance, parallel_gap_packed, sequential_gap};
 use pardp_glws::{parallel_convex_glws, sequential_convex_glws, GlwsProblem, PostOfficeProblem};
 use pardp_lcs::{parallel_sparse_lcs, sequential_sparse_lcs, MatchPair};
 use pardp_lis::{parallel_lis, sequential_lis};
-use pardp_oat::{garsia_wachs, parallel_oat, parallel_oat_valley};
+use pardp_oat::{garsia_wachs, parallel_oat_valley};
 use pardp_obst::{knuth_obst, parallel_obst};
 use pardp_parutils::{with_threads, Metrics};
-use pardp_treedp::{parallel_tree_glws_auto, sequential_tree_glws, CostShape, TreeGlwsInstance};
+use pardp_treedp::{naive_tree_glws, parallel_tree_glws_auto, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
 use std::time::Instant;
 
@@ -371,7 +371,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         let n = parent.len() - 1;
         let lens = workloads::tree_edge_lengths(n, 100, 13);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
-        let (seq_secs, seq) = best_of(reps, || sequential_tree_glws(&inst));
+        let (seq_secs, seq) = best_of(reps, || naive_tree_glws(&inst));
         for &t in threads {
             let (par_secs, par, pushes, wakeups) = timed_parallel(t, reps, || {
                 parallel_tree_glws_auto(&inst, CostShape::Convex)
@@ -418,37 +418,9 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         }
     }
 
-    // The pre-Theorem-5.1 interval OAT cordon on the same profile (its own
-    // smaller n — the diagonal DP is Θ(n²) in time and space): the ablation
-    // partner showing what the valley decomposition buys.
-    {
-        let n = if quick { 400 } else { 2_000 };
-        let weights = workloads::positive_weights(n, 1 << 16, 23);
-        let (seq_secs, seq) = best_of(reps, || garsia_wachs(&weights));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) =
-                timed_parallel(t, reps, || parallel_oat(&weights));
-            assert_eq!(
-                par.cost, seq.cost,
-                "oat_interval parallel/sequential disagree"
-            );
-            rows.push(speedup_row(
-                "oat_interval",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
-    }
-
     // GAP alignment with the packed cordon (Theorem 5.2): rounds equal the
-    // instance's effective depth instead of the n + m anti-diagonals the
-    // wavefront used to report here — the grid itself is deep but the
-    // improvement chains are not.
+    // instance's effective depth instead of the grid's n + m anti-diagonals —
+    // the grid itself is deep but the improvement chains are not.
     {
         let n = if quick { 300 } else { 1_000 };
         let (a, b) = workloads::gap_strings(n, n, 4, 17);

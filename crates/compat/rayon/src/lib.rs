@@ -5,9 +5,9 @@
 //! `rayon = { path = ... }` at this crate instead (see `crates/compat/README.md`).
 //! With the default `threads` feature the shim executes work on a lazily
 //! created `std::thread` worker pool with chunked work-stealing deques
-//! ([`mod@pool`]): `join` forks its second closure onto the pool, and the
-//! `ParIter` combinators split their input into grains that workers (and the
-//! calling thread, which always helps) execute concurrently.  The pool size
+//! (the private `pool` module): `join` forks its second closure onto the
+//! pool, and the `ParIter` combinators split their input into grains that
+//! workers (and the calling thread, which always helps) execute concurrently.  The pool size
 //! comes from `RAYON_NUM_THREADS` or [`std::thread::available_parallelism`],
 //! and `ThreadPoolBuilder::num_threads` + `ThreadPool::install` override it
 //! for a closure's dynamic extent exactly like real rayon.

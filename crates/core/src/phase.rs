@@ -1,6 +1,6 @@
 //! Phase-parallel driver.
 //!
-//! The phase-parallel framework (Shen et al. [81], adapted to DP in Sec. 2.3)
+//! The phase-parallel framework (Shen et al. \[81\], adapted to DP in Sec. 2.3)
 //! repeatedly identifies a frontier of mutually independent operations and
 //! processes it in parallel.  The driver below is deliberately thin: the whole
 //! difficulty of the paper lies in making `round()` cheap for each concrete
@@ -113,9 +113,10 @@ impl std::error::Error for StallError {}
 /// A problem instance that can be advanced one cordon round at a time.
 ///
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
-/// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `GapCordon`,
+/// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`,
 /// `TreeGlwsCordon` and its work-efficient sibling `HldTreeGlwsCordon`,
-/// `ObstCordon`, and `core::explicit`'s reference instance); the facade's
+/// `ObstCordon`, `ValleyOatCordon` and `GarsiaWachsOatCordon`, and
+/// `core::explicit`'s reference instance); the facade's
 /// `CordonSolver` runs any of them through this one driver.
 pub trait PhaseParallel {
     /// Final result produced once all states are finalized.

@@ -17,26 +17,20 @@
 //! * [`naive_gap`] — the direct `O(n²m + nm²)` recurrence (oracle),
 //! * [`sequential_gap`] — `Γ_gap`: row-major evaluation with one online
 //!   convex decision structure per row and per column (`O(nm log n)`),
-//! * [`parallel_gap`] — the *wavefront* parallel evaluation: cells are
-//!   processed in anti-diagonal frontiers of the grid DAG, each frontier in
-//!   parallel, with the same per-row/per-column structures and the same
-//!   `O(nm log n)` work.  Its round count is always the grid depth `n + m`;
-//!   it is kept as the oracle / ablation partner for the packed variant,
-//! * [`parallel_gap_packed`] — the fully packed cordon of Theorem 5.2: each
-//!   round finalizes *every* cell whose tentative value can no longer change
-//!   (the safe set), not just the next anti-diagonal, so the number of rounds
-//!   is exactly the instance's effective depth `k` — the longest chain of
-//!   strict tentative-value improvements — instead of `n + m`.  Work stays
+//! * [`parallel_gap_packed`] — the fully packed cordon of Theorem 5.2
+//!   ([`PackedGapCordon`]): each round finalizes *every* cell whose tentative
+//!   value can no longer change (the safe set), not just the next
+//!   anti-diagonal, so the number of rounds is exactly the instance's
+//!   effective depth `k` — the longest chain of strict tentative-value
+//!   improvements — instead of the grid depth `n + m`.  Work stays
 //!   `O(nm log n)` plus one wasted probe per row per round.
 //!
-//! Both parallel variants produce bit-identical grids (validated against each
-//! other and against the naive oracle in the tests).
+//! The packed cordon produces the same grid as [`sequential_gap`] cell for
+//! cell (validated against it and against the naive oracle in the tests).
 //!
-//! Alignment traceback is provided in three flavors: the panicking
-//! [`reconstruct_gap_ops`], the fallible [`try_reconstruct_gap_ops`] (both
-//! grid-only, `O(n·(n+m))` worst case), and the near-linear
-//! [`try_reconstruct_gap_ops_with_provenance`] driven by the two-bit-per-cell
-//! predecessor flags of [`sequential_gap_with_provenance`].
+//! [`try_reconstruct_gap_ops`] traces one optimal alignment back through any
+//! completed grid, returning a typed [`GapTracebackError`] on a grid that
+//! does not belong to the instance.
 //!
 //! # The packed round: sequential staircase sweep, parallel publish
 //!
@@ -81,7 +75,7 @@ use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// A GAP problem instance: two strings plus the two block-deletion cost
-/// functions (given as [`GlwsProblem`]-style cost families over positions).
+/// functions (cost families `w(l, r)` over positions, as in GLWS).
 pub struct GapInstance<'a, W1, W2> {
     /// First string (length `n`).
     pub a: &'a [u8],
@@ -321,37 +315,9 @@ impl ConvexDecisionList {
 }
 
 /// The optimized sequential algorithm `Γ_gap`: row-major evaluation with one
-/// [`ConvexDecisionList`] per row (for `Q`) and per column (for `P`).
+/// online convex decision list per row (for `Q`) and per column (for `P`).
 /// Requires convex gap costs.  `O(nm log(n+m))` work.
 pub fn sequential_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    sequential_gap_impl(inst, None)
-}
-
-/// [`sequential_gap`] plus a [`GapProvenance`] record: two bits per cell
-/// remembering whether the column (`P`) and row (`Q`) candidates were tight
-/// at that cell.  The flags come for free (the candidates are evaluated
-/// anyway) and let [`try_reconstruct_gap_ops_with_provenance`] trace back in
-/// near-linear time instead of the grid-only scan's `O(n·(n+m))` worst case.
-pub fn sequential_gap_with_provenance<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-) -> (GapResult, GapProvenance)
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let mut prov = GapProvenance::new(inst.a.len(), inst.b.len());
-    let result = sequential_gap_impl(inst, Some(&mut prov));
-    (result, prov)
-}
-
-fn sequential_gap_impl<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-    mut prov: Option<&mut GapProvenance>,
-) -> GapResult
 where
     W1: Fn(usize, usize) -> i64 + Sync,
     W2: Fn(usize, usize) -> i64 + Sync,
@@ -369,17 +335,12 @@ where
             let value = if i == 0 && j == 0 {
                 0
             } else {
-                let p = col_struct[j].query(i, &inst.w1);
-                let q = row_struct[i].query(j, &inst.w2);
+                let mut best = col_struct[j]
+                    .query(i, &inst.w1)
+                    .min(row_struct[i].query(j, &inst.w2));
                 probes += 2;
-                let mut best = p.min(q);
                 if i > 0 && j > 0 && inst.matches(i, j) {
                     best = best.min(d[i - 1][j - 1]);
-                }
-                if let Some(prov) = prov.as_deref_mut() {
-                    // `P == best` iff some i' < i explains the value with a
-                    // gap in A, and symmetrically for `Q` (gap in B).
-                    prov.record(i, j, p == best, q == best);
                 }
                 best
             };
@@ -399,166 +360,14 @@ where
     }
 }
 
-/// Parallel GAP: the grid DAG is evaluated frontier by frontier
-/// (anti-diagonals `i + j = const`), all cells of a frontier in parallel, with
-/// the same per-row/per-column convex decision structures as
-/// [`sequential_gap`] (each structure receives exactly one insertion per
-/// frontier, performed in parallel across rows/columns).  Work `O(nm log n)`.
-pub fn parallel_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let metrics = MetricsCollector::new();
-    let d = run_phase_parallel(GapCordon::new(inst), &metrics);
-    let cost = d[inst.a.len()][inst.b.len()];
-    GapResult {
-        d,
-        cost,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// [`PhaseParallel`] instance for the parallel GAP evaluation: each round
-/// processes one anti-diagonal frontier of the grid DAG.
-pub struct GapCordon<'i, 'a, W1, W2> {
-    inst: &'i GapInstance<'a, W1, W2>,
-    d: Vec<Vec<i64>>,
-    row_struct: Vec<ConvexDecisionList>,
-    col_struct: Vec<ConvexDecisionList>,
-    diag: usize,
-    n: usize,
-    m: usize,
-    /// Reused per-round frontier-value buffer (grown once to the widest
-    /// anti-diagonal).
-    values: Vec<i64>,
-}
-
-impl<'i, 'a, W1, W2> GapCordon<'i, 'a, W1, W2>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    /// Initialize the DP grid and seed the per-row/per-column structures with
-    /// the boundary cell.
-    pub fn new(inst: &'i GapInstance<'a, W1, W2>) -> Self {
-        let (n, m) = (inst.a.len(), inst.b.len());
-        let mut d = vec![vec![INF; m + 1]; n + 1];
-        d[0][0] = 0;
-        let mut row_struct: Vec<ConvexDecisionList> =
-            (0..=n).map(|_| ConvexDecisionList::new(m)).collect();
-        let mut col_struct: Vec<ConvexDecisionList> =
-            (0..=m).map(|_| ConvexDecisionList::new(n)).collect();
-        row_struct[0].insert(0, 0, &inst.w2);
-        col_struct[0].insert(0, 0, &inst.w1);
-        GapCordon {
-            inst,
-            d,
-            row_struct,
-            col_struct,
-            diag: 1,
-            n,
-            m,
-            values: Vec::new(),
-        }
-    }
-}
-
-impl<W1, W2> PhaseParallel for GapCordon<'_, '_, W1, W2>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    /// The completed DP grid.
-    type Output = Vec<Vec<i64>>;
-
-    fn is_done(&self) -> bool {
-        self.diag > self.n + self.m
-    }
-
-    fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let (inst, diag, n, m) = (self.inst, self.diag, self.n, self.m);
-        // Cells (i, j) with i + j = diag; non-empty for every 1 <= diag <= n+m.
-        let i_lo = diag.saturating_sub(m);
-        let i_hi = diag.min(n);
-        let d_ref = &self.d;
-        let row_ref = &self.row_struct;
-        let col_ref = &self.col_struct;
-        let cells = i_hi - i_lo + 1;
-        let grain = round_min_grain(cells);
-        // Reuse the frontier-value buffer across rounds (`collect_into_vec`
-        // refills it in place).
-        let mut values = std::mem::take(&mut self.values);
-        (i_lo..=i_hi)
-            .into_par_iter()
-            .map(|i| {
-                let j = diag - i;
-                let p = col_ref[j].query(i, &inst.w1);
-                let q = row_ref[i].query(j, &inst.w2);
-                let mut best = p.min(q);
-                if i > 0 && j > 0 && inst.matches(i, j) {
-                    best = best.min(d_ref[i - 1][j - 1]);
-                }
-                best
-            })
-            .with_min_len(grain)
-            .collect_into_vec(&mut values);
-        // Write the frontier values, then insert each cell into its row and
-        // column structure (one insertion per structure, all structures
-        // disjoint, so the two loops parallelize over rows and columns).
-        for (off, &v) in values.iter().enumerate() {
-            let i = i_lo + off;
-            let j = diag - i;
-            self.d[i][j] = v;
-        }
-        let w2 = &inst.w2;
-        let w1 = &inst.w1;
-        self.row_struct[i_lo..=i_hi]
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(grain)
-            .for_each(|(off, rs)| {
-                let i = i_lo + off;
-                let j = diag - i;
-                rs.insert(j, values[off], w2);
-            });
-        let j_lo = diag - i_hi;
-        let j_hi = diag - i_lo;
-        let d_now = &self.d;
-        self.col_struct[j_lo..=j_hi]
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(grain)
-            .for_each(|(off, cs)| {
-                let j = j_lo + off;
-                let i = diag - j;
-                cs.insert(i, d_now[i][j], w1);
-            });
-        self.values = values;
-        metrics.add_edges(3 * cells as u64);
-        metrics.add_probes(2 * cells as u64);
-        self.diag += 1;
-        cells
-    }
-
-    fn finish(self) -> Self::Output {
-        self.d
-    }
-
-    fn round_budget(&self) -> Option<u64> {
-        // One round per anti-diagonal: the grid depth n + m.
-        Some((self.n + self.m) as u64)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed cordon (Theorem 5.2): rounds = effective depth instead of n + m.
 // ---------------------------------------------------------------------------
 
-/// Packed parallel GAP (Theorem 5.2): identical values and work as
-/// [`parallel_gap`], but the round count equals the instance's *effective
-/// depth* `k` — the longest chain of strict tentative-value improvements —
-/// instead of the grid depth `n + m`.
+/// Packed parallel GAP (Theorem 5.2): the same grid and `O(nm log n)` work
+/// as [`sequential_gap`], in a round count equal to the instance's
+/// *effective depth* `k` — the longest chain of strict tentative-value
+/// improvements — instead of the grid depth `n + m`.
 ///
 /// Each round finalizes the entire *safe set*: every cell whose tentative
 /// value (computed from already-finalized cells) provably equals its final DP
@@ -909,7 +718,8 @@ where
 // ---------------------------------------------------------------------------
 
 /// One move of an optimal GAP alignment, as recovered by
-/// [`reconstruct_gap_ops`].  Positions are 1-based, matching the DP indices.
+/// [`try_reconstruct_gap_ops`].  Positions are 1-based, matching the DP
+/// indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapOp {
     /// Align `A[i]` with `B[j]` (the characters are equal).
@@ -936,8 +746,7 @@ pub enum GapOp {
 }
 
 /// Traceback failure: no predecessor explains the value at cell `(i, j)` —
-/// the grid is not a valid GAP DP grid for the instance (or the provenance
-/// record belongs to a different grid).
+/// the grid is not a valid GAP DP grid for the instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapTracebackError {
     /// Row of the unexplained cell.
@@ -960,88 +769,20 @@ impl core::fmt::Display for GapTracebackError {
 
 impl std::error::Error for GapTracebackError {}
 
-/// Per-cell predecessor flags recorded by [`sequential_gap_with_provenance`]:
-/// two bits per grid cell (packed, `(n+1)(m+1)/4` bytes) saying whether the
-/// column candidate `P` (a gap in `A`) and/or the row candidate `Q` (a gap in
-/// `B`) attained the cell's final value.
-#[derive(Debug, Clone)]
-pub struct GapProvenance {
-    bits: Vec<u64>,
-    cols: usize,
-}
-
-impl GapProvenance {
-    fn new(n: usize, m: usize) -> Self {
-        let cells = (n + 1) * (m + 1);
-        GapProvenance {
-            bits: vec![0u64; (2 * cells).div_ceil(64)],
-            cols: m + 1,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, i: usize, j: usize) -> (usize, u32) {
-        let k = 2 * (i * self.cols + j);
-        (k >> 6, (k & 63) as u32)
-    }
-
-    #[inline]
-    fn record(&mut self, i: usize, j: usize, a_tight: bool, b_tight: bool) {
-        let (word, off) = self.slot(i, j);
-        self.bits[word] |= ((a_tight as u64) | ((b_tight as u64) << 1)) << off;
-    }
-
-    /// Did a gap in `A` (some `i' < i`) attain `d[i][j]`?
-    #[inline]
-    pub fn a_tight(&self, i: usize, j: usize) -> bool {
-        let (word, off) = self.slot(i, j);
-        (self.bits[word] >> off) & 1 != 0
-    }
-
-    /// Did a gap in `B` (some `j' < j`) attain `d[i][j]`?
-    #[inline]
-    pub fn b_tight(&self, i: usize, j: usize) -> bool {
-        let (word, off) = self.slot(i, j);
-        (self.bits[word] >> off) & 2 != 0
-    }
-}
-
 /// Trace one optimal alignment back through a completed DP grid `d` (as
 /// returned by any of the GAP evaluations).  Deterministic tie-breaking:
 /// prefer a match, then the shortest gap in `A`, then the shortest gap in
 /// `B` — so identical grids always reconstruct identical alignments.
-///
-/// # Panics
-///
-/// Panics if `d` is not a valid DP grid for `inst` (no predecessor explains
-/// some cell's value).  Use [`try_reconstruct_gap_ops`] for a `Result`, and
-/// [`try_reconstruct_gap_ops_with_provenance`] for the near-linear variant.
-pub fn reconstruct_gap_ops<W1, W2>(inst: &GapInstance<'_, W1, W2>, d: &[Vec<i64>]) -> Vec<GapOp>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    match try_reconstruct_gap_ops(inst, d) {
-        Ok(ops) => ops,
-        // analyze: allow(no-panics): documented panicking facade over the
-        // typed `try_reconstruct_gap_ops` (see the function docs).
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible traceback through a completed DP grid, same tie-breaking as
-/// [`reconstruct_gap_ops`].
 ///
 /// Works on any grid with no extra bookkeeping, but each gap op re-derives
 /// its predecessor by scanning candidates nearest-first: *successful* scans
 /// telescope (their total length is the summed gap length, at most `n + m`),
 /// yet a cell whose value is explained only by the other string's gap — or
 /// by nothing, on a corrupted grid — pays a full `O(i)` or `O(j)` scan, so
-/// the worst case is `O(n·(n+m))`.  When the grid came from
-/// [`sequential_gap_with_provenance`], use
-/// [`try_reconstruct_gap_ops_with_provenance`] instead: the recorded flags
-/// pick the branch in `O(1)` and every scan then succeeds, making traceback
-/// `O(n + m)` overall.
+/// the worst case is `O(n·(n+m))`.
+///
+/// Returns a [`GapTracebackError`] naming the first cell (walking back from
+/// `(n, m)`) whose value no predecessor explains.
 pub fn try_reconstruct_gap_ops<W1, W2>(
     inst: &GapInstance<'_, W1, W2>,
     d: &[Vec<i64>],
@@ -1075,59 +816,6 @@ where
     Ok(ops)
 }
 
-/// Near-linear traceback using the provenance flags recorded by
-/// [`sequential_gap_with_provenance`]: the branch (match / gap in `A` / gap
-/// in `B`) is decided in `O(1)` per op from the flags — with the identical
-/// match-first, then-`A`, then-`B` priority as [`reconstruct_gap_ops`], since
-/// `a_tight` holds exactly when the grid-only scan would find an `i'` — and
-/// the nearest-first predecessor scans are then guaranteed to succeed, so
-/// their lengths telescope to the summed gap length: `O(n + m)` total.
-///
-/// Errors if `d` and `prov` are inconsistent with the instance (e.g. a
-/// corrupted grid, or provenance recorded for a different grid).
-pub fn try_reconstruct_gap_ops_with_provenance<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-    d: &[Vec<i64>],
-    prov: &GapProvenance,
-) -> Result<Vec<GapOp>, GapTracebackError>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let (n, m) = (inst.a.len(), inst.b.len());
-    assert_eq!(d.len(), n + 1, "grid has wrong number of rows");
-    assert_eq!(d[0].len(), m + 1, "grid has wrong number of columns");
-    let (mut i, mut j) = (n, m);
-    let mut ops = Vec::new();
-    while i > 0 || j > 0 {
-        let cur = d[i][j];
-        let err = GapTracebackError { i, j, value: cur };
-        if i > 0 && j > 0 && inst.matches(i, j) && d[i - 1][j - 1] == cur {
-            ops.push(GapOp::Match { i, j });
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && prov.a_tight(i, j) {
-            let ip = (0..i)
-                .rev()
-                .find(|&ip| d[ip][j] + (inst.w1)(ip, i) == cur)
-                .ok_or(err)?;
-            ops.push(GapOp::GapA { l: ip, r: i });
-            i = ip;
-        } else if j > 0 && prov.b_tight(i, j) {
-            let jp = (0..j)
-                .rev()
-                .find(|&jp| d[i][jp] + (inst.w2)(jp, j) == cur)
-                .ok_or(err)?;
-            ops.push(GapOp::GapB { l: jp, r: j });
-            j = jp;
-        } else {
-            return Err(err);
-        }
-    }
-    ops.reverse();
-    Ok(ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,7 +839,7 @@ mod tests {
         let inst = convex_gap_instance(&a, &a, 5, 1, 1);
         assert_eq!(naive_gap(&inst).cost, 0);
         assert_eq!(sequential_gap(&inst).cost, 0);
-        assert_eq!(parallel_gap(&inst).cost, 0);
+        assert_eq!(parallel_gap_packed(&inst).cost, 0);
     }
 
     #[test]
@@ -1163,23 +851,7 @@ mod tests {
         let expect = (3 + 2 * 12) + (3 + 2 * 7);
         assert_eq!(naive_gap(&inst).cost, expect);
         assert_eq!(sequential_gap(&inst).cost, expect);
-        assert_eq!(parallel_gap(&inst).cost, expect);
-    }
-
-    #[test]
-    fn optimized_algorithms_match_naive_on_random_inputs() {
-        for seed in 0..6 {
-            for &(open, ext, quad) in &[(2i64, 1i64, 0i64), (10, 0, 1), (50, 3, 2)] {
-                let a = pseudo_string(28, seed, 3);
-                let b = pseudo_string(23, seed + 77, 3);
-                let inst = convex_gap_instance(&a, &b, open, ext, quad);
-                let want = naive_gap(&inst);
-                let seq = sequential_gap(&inst);
-                let par = parallel_gap(&inst);
-                assert_eq!(seq.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
-                assert_eq!(par.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
-            }
-        }
+        assert_eq!(parallel_gap_packed(&inst).cost, expect);
     }
 
     #[test]
@@ -1195,7 +867,7 @@ mod tests {
         );
         let want = naive_gap(&inst);
         assert_eq!(sequential_gap(&inst).d, want.d);
-        assert_eq!(parallel_gap(&inst).d, want.d);
+        assert_eq!(parallel_gap_packed(&inst).d, want.d);
     }
 
     #[test]
@@ -1208,18 +880,9 @@ mod tests {
         // (4+2+4) + (4+3+9) = 26 < 4+5+25 = 34.
         assert_eq!(want.cost, 26);
         assert_eq!(sequential_gap(&inst).cost, want.cost);
-        assert_eq!(parallel_gap(&inst).cost, want.cost);
+        assert_eq!(parallel_gap_packed(&inst).cost, want.cost);
         let inst = convex_gap_instance(&empty, &empty, 4, 1, 1);
-        assert_eq!(parallel_gap(&inst).cost, 0);
-    }
-
-    #[test]
-    fn parallel_rounds_equal_grid_depth() {
-        let a = pseudo_string(15, 5, 4);
-        let b = pseudo_string(10, 6, 4);
-        let inst = convex_gap_instance(&a, &b, 2, 1, 1);
-        let r = parallel_gap(&inst);
-        assert_eq!(r.metrics.rounds, 25);
+        assert_eq!(sequential_gap(&inst).cost, 0);
     }
 
     #[test]
@@ -1236,7 +899,7 @@ mod tests {
         let want = naive_gap(&inst);
         // One gap of length 6 in A: 30 + 6.
         assert_eq!(want.cost, 36);
-        assert_eq!(parallel_gap(&inst).cost, 36);
+        assert_eq!(parallel_gap_packed(&inst).cost, 36);
         assert_eq!(sequential_gap(&inst).cost, 36);
     }
 
@@ -1304,52 +967,47 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_wavefront_and_naive_on_random_inputs() {
+    fn packed_and_sequential_match_naive_on_random_inputs() {
         for seed in 0..6 {
             for &(open, ext, quad) in &[(2i64, 1i64, 0i64), (10, 0, 1), (50, 3, 2)] {
                 let a = pseudo_string(28, seed, 3);
                 let b = pseudo_string(23, seed + 77, 3);
                 let inst = convex_gap_instance(&a, &b, open, ext, quad);
                 let want = naive_gap(&inst);
-                let wave = parallel_gap(&inst);
+                let seq = sequential_gap(&inst);
                 let packed = parallel_gap_packed(&inst);
+                assert_eq!(seq.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
                 assert_eq!(packed.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
-                assert_eq!(packed.d, wave.d, "seed {seed} cost ({open},{ext},{quad})");
                 assert!(
-                    packed.metrics.rounds <= wave.metrics.rounds,
-                    "packing must never use more rounds than the wavefront"
-                );
-                assert_eq!(
-                    reconstruct_gap_ops(&inst, &packed.d),
-                    reconstruct_gap_ops(&inst, &wave.d),
-                    "identical grids must reconstruct identical alignments"
+                    packed.metrics.rounds <= (a.len() + b.len()) as u64,
+                    "packing must never use more rounds than the grid depth"
                 );
             }
         }
     }
 
     #[test]
-    fn packed_matches_wavefront_on_adversarial_instances() {
+    fn packed_matches_sequential_on_adversarial_instances() {
         // Identical strings: the all-match diagonal aligns for free.
         let a = pseudo_string(30, 1, 4);
         let inst = convex_gap_instance(&a, &a, 5, 1, 1);
         let packed = parallel_gap_packed(&inst);
         assert_eq!(packed.cost, 0);
-        assert_eq!(packed.d, parallel_gap(&inst).d);
+        assert_eq!(packed.d, sequential_gap(&inst).d);
 
         // Disjoint alphabets: both strings must be deleted whole.
         let z = vec![0u8; 12];
         let o = vec![1u8; 7];
         let inst = convex_gap_instance(&z, &o, 3, 2, 0);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_eq!(parallel_gap_packed(&inst).d, sequential_gap(&inst).d);
 
         // Empty strings on either side, and both empty (zero rounds).
         let empty: Vec<u8> = vec![];
         let b = pseudo_string(5, 2, 3);
         let inst = convex_gap_instance(&empty, &b, 4, 1, 1);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_eq!(parallel_gap_packed(&inst).d, sequential_gap(&inst).d);
         let inst = convex_gap_instance(&b, &empty, 4, 1, 1);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_eq!(parallel_gap_packed(&inst).d, sequential_gap(&inst).d);
         let inst = convex_gap_instance(&empty, &empty, 4, 1, 1);
         let trivial = parallel_gap_packed(&inst);
         assert_eq!(trivial.cost, 0);
@@ -1364,7 +1022,7 @@ mod tests {
             |l: usize, r: usize| 100 + 10 * (r - l) as i64,
             |l: usize, r: usize| 1 + (r - l) as i64,
         );
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_eq!(parallel_gap_packed(&inst).d, sequential_gap(&inst).d);
     }
 
     #[test]
@@ -1391,27 +1049,23 @@ mod tests {
     fn packed_compresses_rounds_on_shallow_instances() {
         // Disjoint alphabets with an affine cost have effective depth 2: one
         // gap along each axis reaches every cell through round-1 boundary
-        // cells.  The wavefront still runs all n + m anti-diagonals; the
-        // packed cordon collapses them.
+        // cells.  An anti-diagonal wavefront would run all n + m = 120
+        // rounds; the packed cordon collapses them.
         let z = vec![0u8; 60];
         let o = vec![1u8; 60];
         let inst = convex_gap_instance(&z, &o, 3, 2, 0);
-        let wave = parallel_gap(&inst);
         let packed = parallel_gap_packed(&inst);
-        assert_eq!(wave.metrics.rounds, 120);
-        assert_eq!(packed.d, wave.d);
+        assert_eq!(packed.d, sequential_gap(&inst).d);
         assert_eq!(packed.metrics.rounds, 2);
 
         // An all-match instance is the opposite extreme: the diagonal is a
         // chain of strict improvements, so the effective depth is n — still
-        // half the wavefront's 2n rounds.
+        // half the grid depth 2n.
         let a = pseudo_string(60, 7, 4);
         let inst = convex_gap_instance(&a, &a, 5, 1, 1);
-        let wave = parallel_gap(&inst);
         let packed = parallel_gap_packed(&inst);
-        assert_eq!(packed.d, wave.d);
+        assert_eq!(packed.d, sequential_gap(&inst).d);
         assert_eq!(packed.metrics.rounds, 60);
-        assert_eq!(wave.metrics.rounds, 120);
     }
 
     #[test]
@@ -1420,7 +1074,7 @@ mod tests {
         let b = pseudo_string(19, 12, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
         let res = parallel_gap_packed(&inst);
-        let ops = reconstruct_gap_ops(&inst, &res.d);
+        let ops = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
         let (mut i, mut j, mut cost) = (0usize, 0usize, 0i64);
         for op in &ops {
             match *op {
@@ -1447,51 +1101,23 @@ mod tests {
     }
 
     #[test]
-    fn provenance_traceback_matches_grid_only_traceback() {
-        // The provenance flags must pick exactly the branch the grid-only
-        // scan would (match first, then shortest A-gap, then shortest
-        // B-gap), so the op sequences are identical — including instances
-        // dominated by one-sided gaps and by matches.
-        for (na, nb, alpha, seed) in [
-            (24usize, 19usize, 3u64, 1u64),
-            (30, 30, 1, 2),
-            (15, 40, 6, 3),
-        ] {
-            let a = pseudo_string(na, seed, alpha);
-            let b = pseudo_string(nb, seed + 7, alpha);
-            let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-            let (res, prov) = sequential_gap_with_provenance(&inst);
-            assert_eq!(
-                res.d,
-                sequential_gap(&inst).d,
-                "provenance must not change the DP"
-            );
-            let plain = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
-            let fast = try_reconstruct_gap_ops_with_provenance(&inst, &res.d, &prov).unwrap();
-            assert_eq!(plain, fast, "na {na} nb {nb} alpha {alpha}");
-            assert_eq!(plain, reconstruct_gap_ops(&inst, &res.d));
-        }
-    }
-
-    #[test]
     fn corrupted_grid_reports_the_bad_cell_instead_of_panicking() {
         let a = pseudo_string(12, 5, 3);
         let b = pseudo_string(10, 6, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-        let (res, prov) = sequential_gap_with_provenance(&inst);
+        let res = sequential_gap(&inst);
         let mut bad = res.d.clone();
         bad[a.len()][b.len()] -= 1; // no predecessor can explain this value
         let err = try_reconstruct_gap_ops(&inst, &bad).unwrap_err();
         assert_eq!((err.i, err.j), (a.len(), b.len()));
         assert_eq!(err.value, res.d[a.len()][b.len()] - 1);
         assert!(err.to_string().contains("not a valid GAP DP grid"));
-        assert!(try_reconstruct_gap_ops_with_provenance(&inst, &bad, &prov).is_err());
         // The intact grid still reconstructs.
         assert!(try_reconstruct_gap_ops(&inst, &res.d).is_ok());
     }
 
     #[test]
-    fn packed_matches_wavefront_on_long_runs_at_any_thread_count() {
+    fn packed_matches_sequential_on_long_runs_at_any_thread_count() {
         // Long-run instances exercise the band upgrade paths: row runs of
         // length m on disjoint alphabets, column runs of length n and a
         // same-round diagonal chain on identical strings.
@@ -1501,7 +1127,7 @@ mod tests {
         let o = vec![1u8; 41];
         let disjoint = convex_gap_instance(&z, &o, 3, 2, 0);
         for (name, inst) in [("identical", &identical), ("disjoint", &disjoint)] {
-            let want = parallel_gap(inst);
+            let want = sequential_gap(inst);
             for threads in [1usize, 2, 8] {
                 let got = with_threads(threads, || parallel_gap_packed(inst));
                 assert_eq!(got.d, want.d, "{name}, {threads} threads");

@@ -14,20 +14,18 @@
 //!   what turns Theorem 5.1 into a polylog-span algorithm for word-sized
 //!   integer weights (Corollary 5.1.1).
 //!
-//! Two phase-parallel constructions run through the shared
-//! `run_phase_parallel` driver:
+//! The parallel construction runs through the shared `run_phase_parallel`
+//! driver:
 //!
-//! * [`parallel_oat`] — the interval-DP cordon: the OAT is the OBST problem
-//!   restricted to leaf weights (Sec. 5.5's observation), so the diagonal
-//!   cordon of `pardp-obst` computes the optimal tree in `n - 1` rounds, and
-//!   the split-point table reconstructs the leaf depths.
 //! * [`parallel_oat_valley`] — the polylog-round construction of Theorem 5.1
 //!   (the [`valley`] module): the Cartesian-tree valley decomposition of
-//!   Larmore et al. [72] splits the weight sequence around its local minima,
-//!   and weight-doubling rounds replay independent Garsia–Wachs combines in
-//!   parallel across valley slopes, finishing in `O(log W)` rounds instead
-//!   of `n - 1`.  [`parallel_oat_auto`] routes tiny inputs back to the
-//!   interval cordon via [`oat_cordon_auto`].
+//!   Larmore et al. \[72\] splits the weight sequence around its local
+//!   minima, and weight-doubling rounds replay independent Garsia–Wachs
+//!   combines in parallel across valley slopes, finishing in `O(log W)`
+//!   rounds instead of the interval DP's `n - 1` diagonals.
+//!   [`parallel_oat_auto`] routes inputs below [`OAT_VALLEY_MIN_N`] leaves
+//!   to sequential [`garsia_wachs`], run as the one-round
+//!   [`GarsiaWachsOatCordon`], via [`oat_cordon_auto`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,11 +36,9 @@ pub mod valley;
 
 pub use valley::{
     cartesian_tree, oat_cordon_auto, parallel_oat_auto, parallel_oat_valley, valley_decomposition,
-    CartesianTree, IntervalOatCordon, OatLayout, Valley, ValleyOatCordon, OAT_VALLEY_MIN_N,
+    CartesianTree, GarsiaWachsOatCordon, OatLayout, Valley, ValleyOatCordon, OAT_VALLEY_MIN_N,
 };
 
-use pardp_core::run_phase_parallel;
-use pardp_obst::ObstCordon;
 use pardp_parutils::{Metrics, MetricsCollector};
 
 /// Result of an OAT construction.
@@ -221,24 +217,6 @@ pub fn garsia_wachs(weights: &[u64]) -> OatResult {
     }
 }
 
-/// Parallel OAT via the interval-DP cordon: diagonals of the Knuth table are
-/// the cordon frontiers, processed through the shared phase-parallel driver
-/// (`n - 1` rounds).  Produces the same cost as [`garsia_wachs`] and
-/// [`interval_dp_oat`], plus the leaf depths reconstructed from the
-/// split-point table.
-pub fn parallel_oat(weights: &[u64]) -> OatResult {
-    let metrics = MetricsCollector::new();
-    let tables = run_phase_parallel(ObstCordon::new(weights), &metrics);
-    let depths = tables.leaf_depths();
-    let height = depths.iter().copied().max().unwrap_or(0);
-    OatResult {
-        cost: tables.cost(),
-        depths,
-        height,
-        metrics: metrics.snapshot(),
-    }
-}
-
 /// The height bound of Lemma 5.1: for positive integer weights bounded by
 /// `max_weight`, the OAT height is `O(log(total weight / min weight))` —
 /// concretely at most `3 · (log₂(total) - log₂(min)) + 3`, because the subtree
@@ -395,52 +373,5 @@ mod tests {
         let r = garsia_wachs(&[1, 2, 3]);
         assert_eq!(r.cost, 9);
         assert_eq!(r.depths, vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn parallel_oat_matches_garsia_wachs_cost() {
-        for seed in 0..6 {
-            for &n in &[1usize, 2, 3, 7, 20, 60] {
-                let w = pseudo_weights(n, seed, 200);
-                let par = parallel_oat(&w);
-                let gw = garsia_wachs(&w);
-                assert_eq!(par.cost, gw.cost, "n {n} seed {seed}");
-                // The reported depths must themselves attain the cost.
-                let recomputed: u64 = w.iter().zip(&par.depths).map(|(&a, &d)| a * d as u64).sum();
-                assert_eq!(recomputed, par.cost, "n {n} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_oat_runs_one_round_per_diagonal() {
-        let w = pseudo_weights(40, 3, 1000);
-        let r = parallel_oat(&w);
-        assert_eq!(r.metrics.rounds, 39);
-        assert_eq!(r.metrics.frontier_sizes.len(), 39);
-        // Diagonal δ holds n - δ intervals.
-        assert_eq!(r.metrics.frontier_sizes[0], 39);
-        assert_eq!(*r.metrics.frontier_sizes.last().unwrap(), 1);
-    }
-
-    #[test]
-    fn parallel_oat_depths_form_a_full_binary_tree() {
-        let w = pseudo_weights(33, 8, 500);
-        let r = parallel_oat(&w);
-        let kraft: f64 = r.depths.iter().map(|&d| 0.5f64.powi(d as i32)).sum();
-        assert!((kraft - 1.0).abs() < 1e-9, "Kraft sum {kraft}");
-        assert_eq!(r.height, r.depths.iter().copied().max().unwrap());
-    }
-
-    #[test]
-    fn parallel_oat_trivial_sizes() {
-        assert_eq!(parallel_oat(&[]).cost, 0);
-        let one = parallel_oat(&[5]);
-        assert_eq!(one.cost, 0);
-        assert_eq!(one.depths, vec![0]);
-        assert_eq!(one.metrics.rounds, 0);
-        let two = parallel_oat(&[3, 9]);
-        assert_eq!(two.cost, 12);
-        assert_eq!(two.depths, vec![1, 1]);
     }
 }

@@ -1,12 +1,12 @@
 //! Polylog-round OAT construction (Theorem 5.1): Cartesian-tree valley
 //! decomposition plus weight-doubling combine rounds.
 //!
-//! The interval cordon of [`crate::parallel_oat`] needs `n - 1` rounds — one
-//! per diagonal of the Knuth table.  Theorem 5.1 instead parallelizes the
-//! Garsia–Wachs *combine* process itself (Appendix A): the weight sequence
-//! decomposes into **valleys** around its local minima (the leaves of the
-//! max-rooted [Cartesian tree](cartesian_tree) of the sequence), and combines
-//! in different valleys are independent because a combined package is
+//! An interval-DP cordon over the Knuth table needs `n - 1` rounds — one per
+//! diagonal.  Theorem 5.1 instead parallelizes the Garsia–Wachs *combine*
+//! process itself (Appendix A): the weight sequence decomposes into
+//! **valleys** around its local minima (the leaves of the max-rooted
+//! [Cartesian tree](cartesian_tree) of the sequence), and combines in
+//! different valleys are independent because a combined package is
 //! reinserted before the nearest larger element, which never crosses a
 //! bounding wall that exceeds the package weight.
 //!
@@ -29,30 +29,31 @@
 //! After a round no 2-sum is below `T`, so the number of rounds is at most
 //! `log₂(total weight) + O(1)` — within the Lemma 5.1 budget
 //! [`crate::oat_height_bound`], and *polylogarithmic* in `n` for word-sized
-//! weights, versus the interval cordon's `n - 1`.  Every combine is a bona
-//! fide locally-minimal-pair step, which Karpinski–Larmore–Rytter show may be
-//! scheduled in any order, so the result is a valid Garsia–Wachs l-tree and
-//! its leaf levels are optimal alphabetic-tree depths; the tests pin cost
-//! equality against [`crate::garsia_wachs`] and [`crate::interval_dp_oat`],
-//! plus Kraft equality and ordered realizability of the depth vector.
+//! weights, versus the interval DP's `n - 1` diagonals.  Every combine is a
+//! bona fide locally-minimal-pair step, which Karpinski–Larmore–Rytter show
+//! may be scheduled in any order, so the result is a valid Garsia–Wachs
+//! l-tree and its leaf levels are optimal alphabetic-tree depths; the tests
+//! pin cost equality against [`crate::garsia_wachs`] and
+//! [`crate::interval_dp_oat`], plus Kraft equality and ordered realizability
+//! of the depth vector.
 //!
 //! The paper reaches the same round bound by phrasing each valley's schedule
 //! as a least-weight-subsequence instance for the parallel LWS engine of
-//! `pardp-glws` (Larmore et al. [72]); this driver keeps the engine contract
+//! `pardp-glws` (Larmore et al. \[72\]); this driver keeps the engine contract
 //! (`run_phase_parallel`, metrics, stall guards, `round_budget`) but derives
 //! the rounds directly from the doubling thresholds, trading the LWS oracle
 //! for combine steps that are individually checkable against the sequential
 //! algorithm.
 //!
-//! [`oat_cordon_auto`] routes tiny inputs (below [`OAT_VALLEY_MIN_N`]) to the
-//! interval cordon via [`IntervalOatCordon`], returning the zero-dispatch
-//! `EitherCordon` combinator exactly like the Tree-GLWS shape router.
+//! [`oat_cordon_auto`] routes tiny inputs (below [`OAT_VALLEY_MIN_N`]) to
+//! sequential Garsia–Wachs via the one-round [`GarsiaWachsOatCordon`],
+//! returning the zero-dispatch `EitherCordon` combinator exactly like the
+//! Tree-GLWS shape router.
 
 use pardp_core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
-use pardp_obst::ObstCordon;
 use pardp_parutils::{par_map, MetricsCollector};
 
-use crate::OatResult;
+use crate::{garsia_wachs, OatResult};
 
 /// Max-rooted Cartesian tree of a weight sequence: heap-ordered by weight
 /// (ties resolved leftward), in-order traversal yields the original indices.
@@ -163,7 +164,7 @@ pub fn valley_decomposition(weights: &[u64], tree: &CartesianTree) -> Vec<Valley
 }
 
 /// Cost and per-leaf depths of an optimal alphabetic tree — the common
-/// output of the valley and interval OAT cordons (the driver owns the
+/// output of the valley and Garsia–Wachs OAT cordons (the driver owns the
 /// metrics, so they are not part of the instance output).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OatLayout {
@@ -173,9 +174,11 @@ pub struct OatLayout {
     pub depths: Vec<u32>,
 }
 
-/// Below this size the router picks the interval cordon: the O(n²) diagonal
-/// sweep is cheaper than the valley machinery's per-round fixed cost on tiny
-/// inputs, and its `n - 1` rounds are few in absolute terms anyway.
+/// Below this size the router runs sequential Garsia–Wachs in one round.  On
+/// tiny inputs the valley cordon's per-round fixed cost dominates: on a
+/// 2-core host with 2 pool threads (2000 random instances per size),
+/// `garsia_wachs` takes 2.6–4.5 µs per instance at n = 32–63 against
+/// 13–22 µs for the valley cordon.
 pub const OAT_VALLEY_MIN_N: usize = 64;
 
 /// An l-tree sequence element: a leaf (`enc = -(i+1)`) or a combined package
@@ -461,58 +464,63 @@ impl PhaseParallel for ValleyOatCordon {
     }
 }
 
-/// The interval-DP cordon (the OBST diagonal sweep restricted to leaf
-/// weights) adapted to the [`OatLayout`] output, so the router's two arms
-/// share an output type.  Runs in `n - 1` rounds — the pre-Theorem-5.1
-/// baseline kept for tiny inputs and as the ablation partner.
-pub struct IntervalOatCordon {
-    inner: ObstCordon,
+/// The sequential [`crate::garsia_wachs`] run as a one-round cordon, so the
+/// router's two arms share the [`OatLayout`] output and one driver.  The
+/// single round performs all `n - 1` combines (inputs with fewer than two
+/// leaves need none and finish in zero rounds).
+#[derive(Debug)]
+pub struct GarsiaWachsOatCordon {
+    weights: Vec<u64>,
+    layout: Option<OatLayout>,
 }
 
-impl IntervalOatCordon {
-    /// Wrap the OBST diagonal cordon for the given leaf weights.
+impl GarsiaWachsOatCordon {
+    /// Hold the leaf weights for the single Garsia–Wachs round.
     pub fn new(weights: &[u64]) -> Self {
-        IntervalOatCordon {
-            inner: ObstCordon::new(weights),
+        GarsiaWachsOatCordon {
+            weights: weights.to_vec(),
+            layout: None,
         }
     }
 }
 
-impl PhaseParallel for IntervalOatCordon {
+impl PhaseParallel for GarsiaWachsOatCordon {
     type Output = OatLayout;
 
     fn is_done(&self) -> bool {
-        self.inner.is_done()
+        self.weights.len() < 2 || self.layout.is_some()
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        self.inner.round(metrics)
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-        self.inner.round_with(metrics, arena)
+        let r = garsia_wachs(&self.weights);
+        metrics.add_edges(r.metrics.edges_relaxed);
+        self.layout = Some(OatLayout {
+            cost: r.cost,
+            depths: r.depths,
+        });
+        self.weights.len() - 1
     }
 
     fn finish(self) -> OatLayout {
-        let tables = self.inner.finish();
-        OatLayout {
-            cost: tables.cost(),
-            depths: tables.leaf_depths(),
-        }
+        let n = self.weights.len();
+        self.layout.unwrap_or_else(|| OatLayout {
+            cost: 0,
+            depths: vec![0; n],
+        })
     }
 
     fn round_budget(&self) -> Option<u64> {
-        self.inner.round_budget()
+        Some((self.weights.len() >= 2) as u64)
     }
 }
 
-/// Route an OAT instance to the cheaper cordon: the interval cordon below
+/// Route an OAT instance to the cheaper cordon: sequential Garsia–Wachs below
 /// [`OAT_VALLEY_MIN_N`] leaves, the polylog-round valley cordon otherwise —
 /// returned as the zero-dispatch `EitherCordon` so the choice stays a value
 /// any driver (including the facade's `CordonSolver`) can run.
-pub fn oat_cordon_auto(weights: &[u64]) -> EitherCordon<IntervalOatCordon, ValleyOatCordon> {
+pub fn oat_cordon_auto(weights: &[u64]) -> EitherCordon<GarsiaWachsOatCordon, ValleyOatCordon> {
     if weights.len() < OAT_VALLEY_MIN_N {
-        EitherCordon::First(IntervalOatCordon::new(weights))
+        EitherCordon::First(GarsiaWachsOatCordon::new(weights))
     } else {
         EitherCordon::Second(ValleyOatCordon::new(weights))
     }
@@ -676,7 +684,7 @@ mod tests {
                 "rounds {} exceed the Lemma 5.1 budget {bound}",
                 r.metrics.rounds
             );
-            // The interval cordon would need n - 1 = 1999 rounds.
+            // An interval-DP cordon would need n - 1 = 1999 rounds.
             assert!(
                 r.metrics.rounds < 100,
                 "rounds {} not polylog",
@@ -709,21 +717,31 @@ mod tests {
     }
 
     #[test]
-    fn router_picks_interval_for_tiny_and_valley_for_large() {
+    fn router_picks_garsia_wachs_for_tiny_and_valley_for_large() {
         let tiny = pseudo_weights(OAT_VALLEY_MIN_N - 1, 1, 100);
         match oat_cordon_auto(&tiny) {
             EitherCordon::First(_) => {}
-            EitherCordon::Second(_) => panic!("tiny input must use the interval cordon"),
+            EitherCordon::Second(_) => panic!("tiny input must use Garsia–Wachs"),
         }
         let big = pseudo_weights(OAT_VALLEY_MIN_N, 1, 100);
         match oat_cordon_auto(&big) {
             EitherCordon::Second(_) => {}
             EitherCordon::First(_) => panic!("large input must use the valley cordon"),
         }
-        // Both arms agree with the oracle through the router entry point.
+        // Both arms agree with the oracle through the router entry point;
+        // the Garsia–Wachs arm is one round with all n - 1 combines.
         for n in [OAT_VALLEY_MIN_N - 5, OAT_VALLEY_MIN_N + 5] {
             let w = pseudo_weights(n, 9, 64);
-            assert_eq!(parallel_oat_auto(&w).cost, interval_dp_oat(&w));
+            let r = parallel_oat_auto(&w);
+            assert_eq!(r.cost, interval_dp_oat(&w));
+            assert_eq!(r.metrics.states_finalized, (n - 1) as u64);
+            if n < OAT_VALLEY_MIN_N {
+                assert_eq!(r.metrics.frontier_sizes, vec![(n - 1) as u64]);
+            }
+        }
+        for n in [0usize, 1] {
+            let r = parallel_oat_auto(&vec![5; n]);
+            assert_eq!((r.cost, r.depths, r.metrics.rounds), (0, vec![0; n], 0));
         }
     }
 

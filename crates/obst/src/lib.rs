@@ -161,27 +161,6 @@ impl ObstTables {
             self.d[self.n - 1][0]
         }
     }
-
-    /// Depth of every leaf in the optimal tree, reconstructed from the split
-    /// points (root depth 0; a single leaf has depth 0).
-    pub fn leaf_depths(&self) -> Vec<u32> {
-        let n = self.n;
-        let mut depths = vec![0u32; n];
-        if n <= 1 {
-            return depths;
-        }
-        let mut stack = vec![(0usize, n - 1, 0u32)];
-        while let Some((i, j, depth)) = stack.pop() {
-            if i == j {
-                depths[i] = depth;
-                continue;
-            }
-            let k = self.root[j - i][i];
-            stack.push((i, k, depth + 1));
-            stack.push((k + 1, j, depth + 1));
-        }
-        depths
-    }
 }
 
 /// [`PhaseParallel`] instance for the interval DP: round `δ` fills the

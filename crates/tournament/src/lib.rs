@@ -1,7 +1,7 @@
 //! Tournament (winner) tree with batched prefix-minimum extraction.
 //!
 //! This is the data structure behind the parallel LIS and sparse-LCS cordon
-//! algorithms (Sec. 3 of the paper, following Gu et al. [47]).  The tree is
+//! algorithms (Sec. 3 of the paper, following Gu et al. \[47\]).  The tree is
 //! built once over the whole input sequence; each cordon round extracts — and
 //! removes — every *prefix-minimum record*, i.e. every still-active element
 //! that is not blocked by any smaller active element to its left.  Extracting
@@ -12,7 +12,7 @@
 //! # Layout
 //!
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
-//! [`BLOCK`] consecutive positions, each stored as a flat implicit binary
+//! `BLOCK` consecutive positions, each stored as a flat implicit binary
 //! heap (`node v`'s children at `2v`/`2v+1`, leaves in one contiguous run),
 //! and a small flat *summary heap* over the per-block minima routes each
 //! round to the blocks that actually contain records.  Compared to the

@@ -8,10 +8,9 @@
 //!
 //! This crate provides the tree substrate and the full ladder of evaluators:
 //!
-//! * [`naive_tree_glws`] — each node scans all of its ancestors
-//!   (`O(n·h)` work); the exact reference used by every test,
-//! * [`sequential_tree_glws`] — depth-first traversal that reuses the parent's
-//!   scan state, the direct analogue of the sequential 1-D algorithm,
+//! * [`naive_tree_glws`] — each node, in index order, scans all of its
+//!   ancestors (`O(n·h)` work); the sequential baseline and the exact
+//!   reference used by every test,
 //! * [`parallel_tree_glws`] — the baseline Cordon evaluation
 //!   ([`TreeGlwsCordon`]): nodes are processed in rounds by tree depth (every
 //!   node's decisions live strictly above it, so depth levels are valid
@@ -168,18 +167,6 @@ where
         best,
         metrics: metrics.snapshot(),
     }
-}
-
-/// Sequential evaluation in index order (parents precede children), scanning
-/// the ancestor chain of each node; identical values to [`naive_tree_glws`]
-/// but exposed separately so the benchmark harness can attribute the
-/// sequential baseline explicitly.
-pub fn sequential_tree_glws<W, E>(inst: &TreeGlwsInstance<W, E>) -> TreeGlwsResult
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    naive_tree_glws(inst)
 }
 
 /// Parallel evaluation: nodes are grouped into frontiers by tree depth (all

@@ -35,7 +35,7 @@ fn main() {
     // GAP alignment with a convex (affine + quadratic) block-deletion penalty.
     let small = 600.min(n);
     let inst = convex_gap_instance(&a[..small], &b[..small.min(b.len())], 12, 1, 1);
-    let par = parallel_gap(&inst);
+    let par = parallel_gap_packed(&inst);
     let seq = sequential_gap(&inst);
     assert_eq!(par.cost, seq.cost);
     println!(

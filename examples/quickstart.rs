@@ -37,7 +37,7 @@ fn main() {
     // --- GAP edit distance (Sec. 5.2) ---------------------------------------
     let s1 = b"ACCGTTGACCA".to_vec();
     let s2 = b"ACGTTGAACCA".to_vec();
-    let gap = parallel_gap(&convex_gap_instance(&s1, &s2, 4, 1, 1));
+    let gap = parallel_gap_packed(&convex_gap_instance(&s1, &s2, 4, 1, 1));
     println!("GAP alignment cost of {s1:?} vs {s2:?} = {}", gap.cost);
 
     // --- Optimal alphabetic tree (Sec. 5.1) ---------------------------------

@@ -67,12 +67,12 @@ pub use pardp_workloads as workloads;
 /// ```
 ///
 /// The same call shape works for `LcsCordon`, `ConvexGlwsCordon`,
-/// `ConcaveGlwsCordon`, `KGlwsCordon`, `GapCordon`, `TreeGlwsCordon`,
+/// `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`, `TreeGlwsCordon`,
 /// `HldTreeGlwsCordon`, `ObstCordon`, `ValleyOatCordon` — and for
 /// router-produced `EitherCordon` values such as `tree_glws_cordon_auto`'s
 /// (cheaper Tree-GLWS cordon from an O(n) shape probe) and
 /// `oat_cordon_auto`'s (polylog-round valley OAT above a size cutoff,
-/// interval cordon below it).
+/// one-round sequential Garsia–Wachs below it).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CordonSolver {
     round_budget: Option<u64>,
@@ -140,7 +140,8 @@ pub mod prelude {
         try_run_phase_parallel_with_budget, EitherCordon, PhaseParallel, StallError,
     };
     pub use pardp_gap::{
-        convex_gap_instance, naive_gap, parallel_gap, sequential_gap, GapCordon, GapInstance,
+        convex_gap_instance, naive_gap, parallel_gap_packed, sequential_gap, GapInstance,
+        PackedGapCordon,
     };
     pub use pardp_glws::{
         naive_glws, naive_kglws, parallel_concave_glws, parallel_convex_glws, parallel_kglws,
@@ -154,9 +155,8 @@ pub mod prelude {
     };
     pub use pardp_lis::{naive_lis, parallel_lis, sequential_lis, LisCordon, LisResult};
     pub use pardp_oat::{
-        garsia_wachs, interval_dp_oat, oat_cordon_auto, oat_height_bound, parallel_oat,
-        parallel_oat_auto, parallel_oat_valley, IntervalOatCordon, OatLayout, OatResult,
-        ValleyOatCordon,
+        garsia_wachs, interval_dp_oat, oat_cordon_auto, oat_height_bound, parallel_oat_auto,
+        parallel_oat_valley, GarsiaWachsOatCordon, OatLayout, OatResult, ValleyOatCordon,
     };
     pub use pardp_obst::{knuth_obst, naive_obst, parallel_obst, ObstCordon, ObstResult};
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
@@ -165,8 +165,8 @@ pub mod prelude {
         choose_tree_glws_strategy,
         hld::{HeavyLightDecomposition, TreeShapeStats},
         naive_tree_glws, parallel_tree_glws, parallel_tree_glws_auto, parallel_tree_glws_hld,
-        sequential_tree_glws, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon,
-        TreeGlwsInstance, TreeGlwsStrategy,
+        tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
+        TreeGlwsStrategy,
     };
     pub use pardp_workloads as workloads;
 }

@@ -84,7 +84,7 @@ fn oat_and_obst_interval_dps_agree() {
 fn gap_of_identical_strings_is_free_and_lcs_is_full() {
     let (a, _) = workloads::gap_strings(300, 300, 4, 2);
     let inst = convex_gap_instance(&a, &a, 5, 1, 1);
-    assert_eq!(parallel_gap(&inst).cost, 0);
+    assert_eq!(parallel_gap_packed(&inst).cost, 0);
     assert_eq!(parallel_lcs_of(&a, &a).length as usize, a.len());
 }
 

@@ -70,11 +70,12 @@ fn every_parallel_algorithm_reports_per_round_frontiers() {
     assert_eq!(kg.metrics.rounds, 4);
     assert_frontier_telemetry_consistent(&kg.metrics);
 
-    // GAP: anti-diagonal frontiers of the grid.
+    // GAP (Theorem 5.2): packed frontiers, at most the grid depth n + m.
     let (s1, s2) = workloads::gap_strings(40, 35, 4, 7);
     let gi = convex_gap_instance(&s1, &s2, 4, 1, 1);
-    let gr = parallel_gap(&gi);
-    assert_eq!(gr.metrics.rounds as usize, 40 + 35);
+    let gr = parallel_gap_packed(&gi);
+    assert!(gr.metrics.rounds as usize <= 40 + 35);
+    assert_eq!(gr.d, sequential_gap(&gi).d);
     assert_frontier_telemetry_consistent(&gr.metrics);
 
     // Tree-GLWS: one frontier per depth level — for both the baseline cordon
@@ -106,8 +107,10 @@ fn every_parallel_algorithm_reports_per_round_frontiers() {
     assert_eq!(ob.metrics.rounds, 59);
     assert_frontier_telemetry_consistent(&ob.metrics);
 
-    // OAT through the same interval cordon.
-    assert_frontier_telemetry_consistent(&parallel_oat(&w).metrics);
+    // OAT below the router cutoff: one Garsia–Wachs round of n - 1 combines.
+    let oa = parallel_oat_auto(&w);
+    assert_eq!(oa.metrics.frontier_sizes, vec![59]);
+    assert_frontier_telemetry_consistent(&oa.metrics);
 
     // Valley OAT (Theorem 5.1): frontiers are combines per weight-doubling
     // round, summing to n - 1 total combines in O(log W) rounds.

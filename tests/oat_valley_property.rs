@@ -1,11 +1,11 @@
 //! Cross-validation of the polylog-round valley OAT (Theorem 5.1) against
 //! both sequential oracles on random and adversarial weight profiles, plus
 //! the Lemma 5.1 round-count assertion that separates it from the interval
-//! cordon's `n - 1` rounds.
+//! DP's `n - 1` diagonals, and the size router's one-round Garsia–Wachs arm.
 
 use parallel_dp::oat::{
-    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, parallel_oat_auto,
-    parallel_oat_valley, OAT_VALLEY_MIN_N,
+    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat_auto, parallel_oat_valley,
+    OAT_VALLEY_MIN_N,
 };
 use parallel_dp::workloads;
 
@@ -59,7 +59,7 @@ fn check_profile(name: &str, w: &[u64]) {
     );
     // Theorem 5.1's point: rounds are bounded by the same O(log W) quantity
     // as the tree height (the combine threshold doubles every round), not by
-    // n - 1 like the interval cordon.
+    // n - 1 like an interval-DP cordon over the Knuth table's diagonals.
     assert!(
         valley.metrics.rounds <= oat_height_bound(w) as u64,
         "{name}: rounds {} exceed the Lemma 5.1 budget {}",
@@ -97,14 +97,13 @@ fn valley_oat_matches_oracles_on_adversarial_profiles() {
 
 #[test]
 fn valley_rounds_are_polylog_where_the_interval_cordon_is_linear() {
+    // An interval-DP cordon runs one round per diagonal of the Knuth table:
+    // n - 1 = 3 999 rounds here.  The valley cordon needs O(log W).
     let w = workloads::positive_weights(4_000, 1 << 16, 5);
     let valley = parallel_oat_valley(&w);
-    let interval = parallel_oat(&w);
-    assert_eq!(valley.cost, interval.cost);
-    assert_eq!(
-        interval.metrics.rounds, 3_999,
-        "interval cordon: one round per diagonal"
-    );
+    assert_eq!(valley.cost, interval_dp_oat(&w));
+    assert_eq!(valley.cost, garsia_wachs(&w).cost);
+    assert_eq!(valley.metrics.states_finalized, 3_999);
     assert!(
         valley.metrics.rounds < 100,
         "valley cordon rounds {} must be polylog, not linear",
@@ -114,13 +113,7 @@ fn valley_rounds_are_polylog_where_the_interval_cordon_is_linear() {
 
 #[test]
 fn auto_router_agrees_with_both_arms_around_the_cutoff() {
-    for n in [
-        2usize,
-        OAT_VALLEY_MIN_N - 1,
-        OAT_VALLEY_MIN_N,
-        OAT_VALLEY_MIN_N + 1,
-        300,
-    ] {
+    for n in (0..=OAT_VALLEY_MIN_N + 1).chain([300]) {
         let w = workloads::positive_weights(n, 1 << 10, 17);
         let auto = parallel_oat_auto(&w);
         assert_eq!(auto.cost, interval_dp_oat(&w), "n {n}");
@@ -130,5 +123,21 @@ fn auto_router_agrees_with_both_arms_around_the_cutoff() {
             .map(|(&a, &d)| a * d as u64)
             .sum();
         assert_eq!(recomputed, auto.cost, "n {n}");
+        if n >= 1 {
+            assert!(
+                alphabetically_realizable(&auto.depths),
+                "n {n}: depths {:?} not realizable in order",
+                auto.depths
+            );
+        }
+        if n < OAT_VALLEY_MIN_N {
+            // The Garsia–Wachs arm performs all n - 1 combines in one round.
+            assert!(
+                auto.metrics.rounds <= 1,
+                "n {n}: {} rounds",
+                auto.metrics.rounds
+            );
+            assert_eq!(auto.depths, garsia_wachs(&w).depths, "n {n}");
+        }
     }
 }

@@ -116,7 +116,7 @@ proptest! {
         let inst = convex_gap_instance(&a, &b, open, ext, 1);
         let naive = naive_gap(&inst);
         prop_assert_eq!(sequential_gap(&inst).d, naive.d.clone());
-        prop_assert_eq!(parallel_gap(&inst).d, naive.d);
+        prop_assert_eq!(parallel_gap_packed(&inst).d, naive.d);
     }
 
     #[test]
