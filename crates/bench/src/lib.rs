@@ -294,8 +294,8 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     let mut rows = Vec::new();
 
     // Shallow LIS: k = 4 rounds over a wide staircase.  The sequential
-    // baseline pays a coordinate-compression sort plus a Fenwick log factor;
-    // the cordon does k linear tournament rounds.
+    // baseline is patience sorting (one binary search over k thresholds per
+    // element); the cordon does k linear tournament rounds.
     {
         let n = if quick { 50_000 } else { 400_000 };
         let a = workloads::lis_with_length(n, 4, 7);

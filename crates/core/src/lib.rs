@@ -12,13 +12,12 @@
 //! 4. frontier states are finalized, they relax their descendants, all
 //!    sentinels are cleared, and the next round begins.
 //!
-//! [`explicit`] contains a direct, executable transcription of this schedule
-//! for explicitly-given DAGs.  It is not work-efficient (it exists to validate
-//! Theorem 2.1 and to serve as a testing oracle); the per-problem crates
-//! (`pardp-lis`, `pardp-lcs`, `pardp-glws`, `pardp-gap`, `pardp-oat`,
-//! `pardp-treedp`, `pardp-obst`) instantiate the same schedule with
-//! problem-specific data structures that make each round cheap, exactly as the
-//! paper does.
+//! The per-problem crates (`pardp-lis`, `pardp-lcs`, `pardp-glws`,
+//! `pardp-gap`, `pardp-oat`, `pardp-treedp`, `pardp-obst`) instantiate this
+//! schedule with problem-specific data structures that make each round cheap,
+//! exactly as the paper does.  A direct, not work-efficient transcription for
+//! explicitly-given DAGs, which validates Theorem 2.1, lives with the tests
+//! (`tests/support`).
 //!
 //! [`doubling`] provides the prefix-doubling cordon search shared by the
 //! decision-monotone algorithms (Alg. 1's `FindCordon` skeleton), and
@@ -28,11 +27,9 @@
 #![warn(missing_docs)]
 
 pub mod doubling;
-pub mod explicit;
 pub mod phase;
 
 pub use doubling::{prefix_doubling_cordon, DoublingStats};
-pub use explicit::{EdgeWeightedDag, Objective};
 pub use phase::{
     run_phase_parallel, try_run_phase_parallel, try_run_phase_parallel_with_budget, EitherCordon,
     FrontierArena, PhaseParallel, StallError, STALL_BUDGET_MSG, STALL_NO_PROGRESS_MSG,

@@ -115,8 +115,8 @@ impl std::error::Error for StallError {}
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
 /// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`,
 /// `TreeGlwsCordon` and its work-efficient sibling `HldTreeGlwsCordon`,
-/// `ObstCordon`, `ValleyOatCordon` and `GarsiaWachsOatCordon`, and
-/// `core::explicit`'s reference instance); the facade's
+/// `ObstCordon`, `ValleyOatCordon` and `GarsiaWachsOatCordon`, and the
+/// test suite's explicit-DAG reference instance); the facade's
 /// `CordonSolver` runs any of them through this one driver.
 pub trait PhaseParallel {
     /// Final result produced once all states are finalized.

@@ -13,11 +13,10 @@
 //!    the cordon may still prefer an *old* (already finalized) decision, so the
 //!    freshly built `B_new` (decisions from the new frontier) must be merged
 //!    with `B_old`.  By concave decision monotonicity the states preferring a
-//!    new decision form a prefix `[cordon, p]`; the cut point `p` is found with
-//!    one binary search that compares the two arrays' candidates.  This is a
-//!    simplification of the paper's Alg. 2, which is kept as
-//!    [`ConcaveMergeStrategy::PaperAlgorithm2`] for the ablation benchmark
-//!    (`ablation_report`, study A3).
+//!    new decision form a prefix `[cordon, p]`; the cut point `p` is found by
+//!    the paper's Alg. 2: one old-decision lookup per interval of `B_new`,
+//!    then a binary search over the intervals and one inside the last
+//!    winning interval.
 
 use crate::best::BestDecisionArray;
 use crate::convex::{argmin_decision, find_intervals_work};
@@ -27,36 +26,13 @@ use pardp_core::{prefix_doubling_cordon, run_phase_parallel, PhaseParallel};
 use pardp_parutils::{round_min_grain, MetricsCollector, SEQ_CUTOFF};
 use rayon::prelude::*;
 
-/// Strategy used to merge the new and old best-decision arrays after a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConcaveMergeStrategy {
-    /// Single binary search over positions comparing the two arrays' candidate
-    /// values (strictly-better-new wins); `O(log² n)` per round.
-    #[default]
-    PositionBinarySearch,
-    /// The three-step search of Algorithm 2 in the paper (per-interval
-    /// pre-processing, then two nested binary searches).  Same asymptotics per
-    /// round up to log factors; kept for the ablation benchmark.
-    PaperAlgorithm2,
-}
-
-/// Solve a concave GLWS instance with the parallel cordon algorithm using the
-/// default merge strategy.
-pub fn parallel_concave_glws<P: GlwsProblem>(problem: &P) -> GlwsResult {
-    parallel_concave_glws_with(problem, ConcaveMergeStrategy::default())
-}
-
-/// Solve a concave GLWS instance with an explicit merge strategy (used by the
-/// ablation benchmark).
+/// Solve a concave GLWS instance with the parallel cordon algorithm.
 ///
 /// Runs [`ConcaveGlwsCordon`] through the shared phase-parallel driver, which
 /// supplies the round accounting, frontier telemetry and stall guard.
-pub fn parallel_concave_glws_with<P: GlwsProblem>(
-    problem: &P,
-    merge: ConcaveMergeStrategy,
-) -> GlwsResult {
+pub fn parallel_concave_glws<P: GlwsProblem>(problem: &P) -> GlwsResult {
     let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(ConcaveGlwsCordon::new(problem, merge), &metrics);
+    let (d, best) = run_phase_parallel(ConcaveGlwsCordon::new(problem), &metrics);
     GlwsResult {
         d,
         best,
@@ -69,7 +45,6 @@ pub fn parallel_concave_glws_with<P: GlwsProblem>(
 /// the build-and-merge of the best-decision array.
 pub struct ConcaveGlwsCordon<'a, P: GlwsProblem> {
     problem: &'a P,
-    merge: ConcaveMergeStrategy,
     d: Vec<i64>,
     best: Vec<usize>,
     b: BestDecisionArray,
@@ -82,13 +57,12 @@ pub struct ConcaveGlwsCordon<'a, P: GlwsProblem> {
 
 impl<'a, P: GlwsProblem> ConcaveGlwsCordon<'a, P> {
     /// Initialize the DP arrays and the all-zero best-decision array.
-    pub fn new(problem: &'a P, merge: ConcaveMergeStrategy) -> Self {
+    pub fn new(problem: &'a P) -> Self {
         let n = problem.n();
         let mut d = vec![0i64; n + 1];
         d[0] = problem.d0();
         ConcaveGlwsCordon {
             problem,
-            merge,
             d,
             best: vec![0usize; n + 1],
             b: BestDecisionArray::initial(n),
@@ -174,9 +148,7 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
             b_new.rebuild_from_intervals(self.intervals.drain(..));
             let mut b_old = std::mem::take(&mut self.b);
             b_old.clip_front(cordon);
-            self.b = merge_new_old(
-                problem, &self.d, b_new, b_old, cordon, n, self.merge, metrics,
-            );
+            self.b = merge_new_old(problem, &self.d, b_new, b_old, cordon, n, metrics);
         } else {
             self.b.rebuild_from_intervals(std::iter::empty());
         }
@@ -252,8 +224,7 @@ fn value_via<P: GlwsProblem>(problem: &P, d: &[i64], j: usize, i: usize) -> i64 
 /// Merge `b_new` (decisions from the latest frontier, covering `[cordon, n]`)
 /// with `b_old` (earlier decisions, clipped to `[cordon, n]`).  By concave
 /// decision monotonicity the positions where a new decision is *strictly*
-/// better form a prefix `[cordon, p]`.
-#[allow(clippy::too_many_arguments)]
+/// better form a prefix `[cordon, p]`; [`algorithm2_cut_point`] finds `p`.
 fn merge_new_old<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
@@ -261,43 +232,13 @@ fn merge_new_old<P: GlwsProblem>(
     b_old: BestDecisionArray,
     cordon: usize,
     n: usize,
-    strategy: ConcaveMergeStrategy,
     metrics: &MetricsCollector,
 ) -> BestDecisionArray {
     debug_assert_eq!(b_new.coverage(), Some((cordon, n)));
     debug_assert_eq!(b_old.coverage(), Some((cordon, n)));
 
-    let new_strictly_better = |i: usize, probes: &mut u64| -> bool {
-        *probes += 2;
-        let jn = b_new.decision_at(i);
-        let jo = b_old.decision_at(i);
-        value_via(problem, d, jn, i) < value_via(problem, d, jo, i)
-    };
-
     let mut probes = 0u64;
-    let p = match strategy {
-        ConcaveMergeStrategy::PositionBinarySearch => {
-            // Largest position in [cordon, n] where the new decision strictly
-            // wins (prefix-monotone predicate), or None.
-            if !new_strictly_better(cordon, &mut probes) {
-                None
-            } else {
-                let (mut lo, mut hi) = (cordon, n);
-                while lo < hi {
-                    let mid = (lo + hi).div_ceil(2);
-                    if new_strictly_better(mid, &mut probes) {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                Some(lo)
-            }
-        }
-        ConcaveMergeStrategy::PaperAlgorithm2 => {
-            algorithm2_cut_point(problem, d, &b_new, &b_old, &mut probes)
-        }
-    };
+    let p = algorithm2_cut_point(problem, d, &b_new, &b_old, &mut probes);
     metrics.add_probes(probes);
 
     match p {
@@ -316,10 +257,7 @@ fn merge_new_old<P: GlwsProblem>(
 /// The cut-point search of Algorithm 2 in the paper: for each interval of
 /// `B_new`, look up the best old decision of its left endpoint, locate the last
 /// interval of `B_new` that still beats the old candidate there, then refine
-/// with binary searches inside `B_old` and over positions.
-///
-/// Kept primarily for the ablation study; produces the same cut point as the
-/// plain position binary search (up to ties, which do not affect DP values).
+/// with a binary search over the positions of that interval.
 fn algorithm2_cut_point<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
@@ -410,19 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn both_merge_strategies_agree() {
-        for n in [10usize, 64, 300] {
-            for &(a, b) in &[(0i64, 2i64), (17, 5)] {
-                let p = ConcaveGapCost::new(n, a, b);
-                let r1 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PositionBinarySearch);
-                let r2 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PaperAlgorithm2);
-                assert_eq!(r1.d, r2.d, "n {n} a {a} b {b}");
-                assert_eq!(r1.d, naive_glws(&p).d);
-            }
-        }
-    }
-
-    #[test]
     fn linear_costs_work_under_concave_solver() {
         for n in [1usize, 7, 90] {
             let p = LinearGapCost { a: 4, b: 6, n };
@@ -461,8 +386,6 @@ mod tests {
             let got = parallel_concave_glws(&p);
             let want = naive_glws(&p);
             assert_eq!(got.d, want.d, "n {n}");
-            let got2 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PaperAlgorithm2);
-            assert_eq!(got2.d, want.d, "n {n} (Algorithm 2 merge)");
             if n >= 100 {
                 assert!(
                     got.metrics.rounds > 1,

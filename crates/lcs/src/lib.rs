@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{par_sort_by_key, round_min_grain, Metrics, MetricsCollector};
-use pardp_tournament::{StaircaseCordon, TieRule};
+use pardp_tournament::{sequential_staircase, StaircaseCordon};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -105,34 +105,15 @@ pub fn dense_lcs<T: Eq>(a: &[T], b: &[T]) -> LcsResult {
     }
 }
 
-/// Hunt–Szymanski sparse LCS: processes the matching pairs in the canonical
-/// order and maintains the "threshold" array with binary searches,
-/// `O(L log n)` work.  Also reports the DP value of every pair.
+/// Hunt–Szymanski sparse LCS: the threshold loop
+/// ([`sequential_staircase`]) over the `j` keys of the canonically sorted
+/// pairs, `O(L log n)` work.  Also reports the DP value of every pair.
 pub fn sequential_sparse_lcs(pairs: &[MatchPair]) -> LcsResult {
     let metrics = MetricsCollector::new();
     debug_assert!(pairs_are_canonically_sorted(pairs));
-    // thresholds[t] = smallest j that ends an increasing (in j) chain of
-    // length t+1 seen so far.
-    let mut thresholds: Vec<u32> = Vec::new();
-    let mut pair_values = Vec::with_capacity(pairs.len());
-    let mut probes = 0u64;
-    for p in pairs {
-        // Length of the longest chain ending strictly below j, plus one.
-        let pos = thresholds.partition_point(|&t| t < p.j);
-        probes += (thresholds.len().max(2)).ilog2() as u64;
-        let value = pos as u32 + 1;
-        if pos == thresholds.len() {
-            thresholds.push(p.j);
-        } else if p.j < thresholds[pos] {
-            thresholds[pos] = p.j;
-        }
-        pair_values.push(value);
-        metrics.add_edges(1);
-    }
-    metrics.add_probes(probes);
-    metrics.add_states(pairs.len() as u64);
+    let (pair_values, length) = sequential_staircase(pairs.iter().map(|p| p.j), &metrics);
     LcsResult {
-        length: thresholds.len() as u32,
+        length,
         pair_values,
         metrics: metrics.snapshot(),
     }
@@ -167,7 +148,7 @@ impl LcsCordon {
         // A pair relaxes a later pair only with a strictly smaller j (and
         // strictly smaller i, which the canonical order guarantees for smaller
         // j values on the prefix-minimum staircase), so ties do not block.
-        LcsCordon(StaircaseCordon::new(&keys, TieRule::TiesAreRecords))
+        LcsCordon(StaircaseCordon::new(&keys))
     }
 }
 
@@ -271,21 +252,29 @@ mod tests {
 
     #[test]
     fn all_algorithms_agree_on_random_strings() {
+        // The last case has about 2 · 10⁵ pairs over 2 letters: tie-heavy
+        // `j` keys across some 200 1024-key tournament blocks.
+        let mut cases: Vec<(u64, u64, usize, usize)> = Vec::new();
         for seed in 0..8 {
             for &alpha in &[2u64, 4, 16, 64] {
-                let a = pseudo_string(120, seed, alpha);
-                let b = pseudo_string(140, seed + 100, alpha);
-                let want = dense_lcs(&a, &b).length;
-                let pairs = matching_pairs(&a, &b);
-                let seq = sequential_sparse_lcs(&pairs);
-                let par = parallel_sparse_lcs(&pairs);
-                assert_eq!(seq.length, want, "seed {seed} alpha {alpha}");
-                assert_eq!(par.length, want, "seed {seed} alpha {alpha}");
-                assert_eq!(
-                    par.pair_values, seq.pair_values,
-                    "seed {seed} alpha {alpha}"
-                );
+                cases.push((seed, alpha, 120, 140));
             }
+        }
+        cases.push((8, 2, 600, 700));
+        for (seed, alpha, n, m) in cases {
+            let a = pseudo_string(n, seed, alpha);
+            let b = pseudo_string(m, seed + 100, alpha);
+            let want = dense_lcs(&a, &b).length;
+            let pairs = matching_pairs(&a, &b);
+            let seq = sequential_sparse_lcs(&pairs);
+            let par = parallel_sparse_lcs(&pairs);
+            let label = format!(
+                "seed {seed} alpha {alpha} n {n} m {m} pairs {}",
+                pairs.len()
+            );
+            assert_eq!(seq.length, want, "{label}");
+            assert_eq!(par.length, want, "{label}");
+            assert_eq!(par.pair_values, seq.pair_values, "{label}");
         }
     }
 

@@ -4,9 +4,10 @@
 //! `D[i] = max(1, max_{j < i, A[j] < A[i]} D[j] + 1)`:
 //!
 //! * [`naive_lis`] — the quadratic textbook DP (test oracle / baseline),
-//! * [`sequential_lis`] — the `O(n log k)` optimized algorithm: a Fenwick tree
-//!   over value ranks answers "best DP value among smaller elements to the
-//!   left" in `O(log n)`, so only `n` transitions are processed,
+//! * [`sequential_lis`] — the `O(n log k)` patience-sorting algorithm: a
+//!   sorted array of the smallest tail value of each increasing-subsequence
+//!   length gives every element its DP value with one binary search (the
+//!   threshold loop sparse LCS also runs),
 //! * [`parallel_lis`] — the Cordon Algorithm instantiation: in round `r` the
 //!   ready states are exactly the prefix-minimum elements of the remaining
 //!   sequence (their DP value is `r`), and a tournament tree extracts and
@@ -19,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{Metrics, MetricsCollector};
-use pardp_tournament::{StaircaseCordon, TieRule};
+use pardp_tournament::{sequential_staircase, StaircaseCordon};
 
 /// Result of an LIS computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,42 +80,11 @@ pub fn naive_lis(a: &[i64]) -> LisResult {
     }
 }
 
-/// Sequential `O(n log k)`-style LIS using a Fenwick (binary indexed) tree
-/// over value ranks for prefix maxima.
+/// Sequential `O(n log k)` LIS by patience sorting
+/// ([`sequential_staircase`] over the values).
 pub fn sequential_lis(a: &[i64]) -> LisResult {
     let metrics = MetricsCollector::new();
-    let n = a.len();
-    if n == 0 {
-        return LisResult {
-            d: Vec::new(),
-            length: 0,
-            metrics: metrics.snapshot(),
-        };
-    }
-    // Coordinate-compress the values.
-    let mut sorted: Vec<i64> = a.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let rank = |x: i64| sorted.partition_point(|&v| v < x); // 0-based rank
-
-    let mut fenwick = FenwickMax::new(sorted.len());
-    let mut d = vec![1u32; n];
-    let mut probes = 0u64;
-    for (i, &ai) in a.iter().enumerate() {
-        let r = rank(ai);
-        // Best DP value among elements with value strictly smaller than a[i].
-        let best_before = if r == 0 {
-            0
-        } else {
-            fenwick.prefix_max(r - 1, &mut probes)
-        };
-        d[i] = best_before + 1;
-        fenwick.update(r, d[i], &mut probes);
-        metrics.add_edges(1);
-    }
-    metrics.add_probes(probes);
-    metrics.add_states(n as u64);
-    let length = d.iter().copied().max().unwrap_or(0);
+    let (d, length) = sequential_staircase(a.iter().copied(), &metrics);
     LisResult {
         d,
         length,
@@ -147,9 +117,7 @@ pub struct LisCordon(StaircaseCordon<i64>);
 impl LisCordon {
     /// Build the tournament tree over the input sequence.
     pub fn new(a: &[i64]) -> Self {
-        // Ties do not block: A[j] < A[i] is required for a transition, so an
-        // equal element to the left does not prevent readiness.
-        LisCordon(StaircaseCordon::new(a, TieRule::TiesAreRecords))
+        LisCordon(StaircaseCordon::new(a))
     }
 }
 
@@ -172,42 +140,6 @@ impl PhaseParallel for LisCordon {
 
     fn round_budget(&self) -> Option<u64> {
         self.0.round_budget()
-    }
-}
-
-/// Fenwick tree for prefix maxima over `0..len` (used by [`sequential_lis`]).
-struct FenwickMax {
-    tree: Vec<u32>,
-}
-
-impl FenwickMax {
-    fn new(len: usize) -> Self {
-        FenwickMax {
-            tree: vec![0; len + 1],
-        }
-    }
-
-    /// max over ranks `0..=idx`.
-    fn prefix_max(&self, idx: usize, probes: &mut u64) -> u32 {
-        let mut i = idx + 1;
-        let mut best = 0;
-        while i > 0 {
-            *probes += 1;
-            best = best.max(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        best
-    }
-
-    fn update(&mut self, idx: usize, value: u32, probes: &mut u64) {
-        let mut i = idx + 1;
-        while i < self.tree.len() {
-            *probes += 1;
-            if self.tree[i] < value {
-                self.tree[i] = value;
-            }
-            i += i & i.wrapping_neg();
-        }
     }
 }
 
@@ -238,16 +170,29 @@ mod tests {
 
     #[test]
     fn all_three_agree_on_random_inputs() {
+        // n = 3000 spans three 1024-key tournament blocks; moduli 2 and 5 and
+        // the constant run are tie-heavy.
+        let mut inputs = vec![("constant".to_string(), vec![7i64; 3000])];
         for seed in 0..10 {
-            for &m in &[5u64, 100, 1_000_000] {
-                let a = pseudo_random(300, seed, m);
-                let want = naive_lis(&a);
-                let seq = sequential_lis(&a);
-                let par = parallel_lis(&a);
-                assert_eq!(seq.d, want.d, "seed {seed} m {m}");
-                assert_eq!(par.d, want.d, "seed {seed} m {m}");
-                assert_eq!(par.length, want.length);
+            for &(n, m) in &[
+                (300, 5u64),
+                (300, 100),
+                (300, 1_000_000),
+                (3000, 2),
+                (3000, 5),
+            ] {
+                let label = format!("seed {seed} n {n} m {m}");
+                inputs.push((label, pseudo_random(n, seed, m)));
             }
+        }
+        for (label, a) in &inputs {
+            let want = naive_lis(a);
+            let seq = sequential_lis(a);
+            let par = parallel_lis(a);
+            assert_eq!(seq.d, want.d, "{label}");
+            assert_eq!(par.d, want.d, "{label}");
+            assert_eq!(seq.length, want.length, "{label}");
+            assert_eq!(par.length, want.length, "{label}");
         }
     }
 

@@ -9,6 +9,10 @@
 //! `O(log L)` span, which is what gives the `O(n log k)` / `O(L log n)` total
 //! work bounds of Theorems 3.1 and 3.2.
 //!
+//! [`sequential_staircase`] computes the same per-position values with the
+//! sequential patience / Hunt–Szymanski threshold loop; it is the sequential
+//! algorithm of both problems.
+//!
 //! # Layout
 //!
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
@@ -38,32 +42,13 @@ use pardp_parutils::{round_min_grain, MetricsCollector};
 /// block stays in L1/L2.
 const BLOCK: usize = 1024;
 
-/// Whether an earlier element with an *equal* key blocks a later element from
-/// being a prefix-minimum record.
-///
-/// * For the classic strictly-increasing LIS, a decision `j` relaxes `i` only
-///   when `A[j] < A[i]`, so ties do **not** block: use [`TieRule::TiesAreRecords`].
-/// * For the non-decreasing variant (`A[j] <= A[i]` relaxes), ties do block:
-///   use [`TieRule::TiesBlocked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TieRule {
-    /// An element equal to the running minimum is itself a record.
-    TiesAreRecords,
-    /// An element equal to the running minimum is blocked (not a record).
-    TiesBlocked,
-}
-
-impl TieRule {
-    #[inline]
-    fn is_record<K: Ord>(self, key: K, carry: Option<K>) -> bool {
-        match carry {
-            None => true,
-            Some(c) => match self {
-                TieRule::TiesAreRecords => key <= c,
-                TieRule::TiesBlocked => key < c,
-            },
-        }
-    }
+/// Whether `key` is a prefix-minimum record given `carry`, the minimum active
+/// key to its left.  Ties are records: LIS relaxes `i` from `j` only when
+/// `A[j] < A[i]`, and sparse LCS only from a strictly smaller `j`, so an equal
+/// key to the left never blocks.
+#[inline]
+fn is_record<K: Ord>(key: K, carry: Option<K>) -> bool {
+    carry.is_none_or(|c| key <= c)
 }
 
 #[inline]
@@ -123,19 +108,19 @@ impl<K: Ord + Copy> Block<K> {
 
     /// Extract every record of this block into `self.records`, given the
     /// minimum active key strictly to the block's left at round start.
-    fn extract(&mut self, carry: Option<K>, rule: TieRule) {
+    fn extract(&mut self, carry: Option<K>) {
         self.records.clear();
-        self.extract_node(1, carry, rule);
+        self.extract_node(1, carry);
     }
 
-    fn extract_node(&mut self, node: usize, carry: Option<K>, rule: TieRule) {
+    fn extract_node(&mut self, node: usize, carry: Option<K>) {
         // Prune: if even the smallest key below `node` is not a record
         // w.r.t. `carry`, nothing below can be.
         let m = match self.tree[node] {
             None => return,
             Some(m) => m,
         };
-        if !rule.is_record(m, carry) {
+        if !is_record(m, carry) {
             return;
         }
         if node >= self.cap {
@@ -150,8 +135,8 @@ impl<K: Ord + Copy> Block<K> {
         // the state at the start of the round (all extracted elements share
         // the same DP value).
         let right_carry = min_opt(carry, self.tree[2 * node]);
-        self.extract_node(2 * node, carry, rule);
-        self.extract_node(2 * node + 1, right_carry, rule);
+        self.extract_node(2 * node, carry);
+        self.extract_node(2 * node + 1, right_carry);
         self.tree[node] = min_opt(self.tree[2 * node], self.tree[2 * node + 1]);
     }
 }
@@ -165,12 +150,11 @@ fn extract_touched<K: Ord + Copy + Send + Sync>(
     blocks: &mut [Block<K>],
     first: usize,
     touched: &[(usize, Option<K>)],
-    rule: TieRule,
     grain: usize,
 ) {
     if touched.len() <= grain.max(1) {
         for &(b, carry) in touched {
-            blocks[b - first].extract(carry, rule);
+            blocks[b - first].extract(carry);
         }
         return;
     }
@@ -179,8 +163,8 @@ fn extract_touched<K: Ord + Copy + Send + Sync>(
     let split = right[0].0;
     let (bl, br) = blocks.split_at_mut(split - first);
     rayon::join(
-        || extract_touched(bl, first, left, rule, grain),
-        || extract_touched(br, split, right, rule, grain),
+        || extract_touched(bl, first, left, grain),
+        || extract_touched(br, split, right, grain),
     );
 }
 
@@ -196,16 +180,14 @@ pub struct TournamentTree<K> {
     /// Blocks touched by the current round with their carries, in increasing
     /// block order.  Reused across rounds.
     touched: Vec<(usize, Option<K>)>,
-    len: usize,
     active: usize,
-    rule: TieRule,
 }
 
 impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
-    /// Build the tree over `keys` (positions are `0..keys.len()`), with the
-    /// given tie rule.  `O(n)` work, `O(log n)` span; blocks are built in
-    /// parallel for large inputs, fully inline for sub-grain ones.
-    pub fn new(keys: &[K], rule: TieRule) -> Self {
+    /// Build the tree over `keys` (positions are `0..keys.len()`).  `O(n)`
+    /// work, `O(log n)` span; blocks are built in parallel for large inputs,
+    /// fully inline for sub-grain ones.
+    pub fn new(keys: &[K]) -> Self {
         use rayon::prelude::*;
         let len = keys.len();
         let num_blocks = len.div_ceil(BLOCK);
@@ -232,30 +214,8 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
             summary,
             scap,
             touched: Vec::new(),
-            len,
             active: len,
-            rule,
         }
-    }
-
-    /// Number of positions the tree was built over.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree was built over an empty sequence.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of still-active (not yet extracted) elements.
-    pub fn active_count(&self) -> usize {
-        self.active
-    }
-
-    /// Minimum key among the active elements, if any.
-    pub fn min_active(&self) -> Option<K> {
-        self.summary[1]
     }
 
     /// Walk the summary heap, collecting every block whose minimum is a
@@ -268,7 +228,7 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
             None => return,
             Some(m) => m,
         };
-        if !self.rule.is_record(m, carry) {
+        if !is_record(m, carry) {
             return;
         }
         if node >= self.scap {
@@ -303,8 +263,7 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
         } else {
             grain.div_ceil(BLOCK).max(1)
         };
-        let rule = self.rule;
-        extract_touched(&mut self.blocks, 0, &self.touched, rule, grain_blocks);
+        extract_touched(&mut self.blocks, 0, &self.touched, grain_blocks);
         let mut count = 0;
         for &(b, _) in &self.touched {
             count += self.blocks[b].records.len();
@@ -325,7 +284,7 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
     /// `(position, key)` pairs in increasing position order.
     ///
     /// A record is an active element with no active element to its left whose
-    /// key blocks it under the tree's [`TieRule`].  Returns an empty vector
+    /// key is strictly smaller.  Returns an empty vector
     /// once all elements have been extracted.
     pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
         let count = self.extract_round();
@@ -351,10 +310,10 @@ pub struct StaircaseCordon<K> {
 }
 
 impl<K: Ord + Copy + Send + Sync> StaircaseCordon<K> {
-    /// Build the tournament tree over `keys` with the given tie rule.
-    pub fn new(keys: &[K], rule: TieRule) -> Self {
+    /// Build the tournament tree over `keys`.
+    pub fn new(keys: &[K]) -> Self {
         StaircaseCordon {
-            tree: TournamentTree::new(keys, rule),
+            tree: TournamentTree::new(keys),
             values: vec![0u32; keys.len()],
             round: 0,
             remaining: keys.len(),
@@ -402,33 +361,62 @@ impl<K: Ord + Copy + Send + Sync> PhaseParallel for StaircaseCordon<K> {
     }
 }
 
-/// Reference (sequential, quadratic-free) computation of the prefix-minimum
-/// records of one round over `keys`, used as an oracle in tests.
-pub fn reference_prefix_minima<K: Ord + Copy>(
-    keys: &[(usize, K)],
-    rule: TieRule,
-) -> Vec<(usize, K)> {
-    let mut out = Vec::new();
-    let mut carry: Option<K> = None;
-    for &(pos, k) in keys {
-        if rule.is_record(k, carry) {
-            out.push((pos, k));
+/// The sequential staircase: the `(values, depth)` [`StaircaseCordon`]
+/// returns, from one left-to-right pass of the patience / Hunt–Szymanski
+/// threshold loop.
+///
+/// `thresholds[t]` is the smallest key that ends a strictly increasing chain
+/// of length `t + 1` so far, so a key's value is one plus the number of
+/// thresholds strictly below it: `O(n log k)` work for depth `k`.  Counts one
+/// edge and one state per key, and `log₂` of the threshold count as probes.
+pub fn sequential_staircase<K: Ord + Copy>(
+    keys: impl IntoIterator<Item = K>,
+    metrics: &MetricsCollector,
+) -> (Vec<u32>, u32) {
+    let keys = keys.into_iter();
+    let mut values = Vec::with_capacity(keys.size_hint().0);
+    let mut thresholds: Vec<K> = Vec::new();
+    let mut probes = 0u64;
+    for key in keys {
+        let pos = thresholds.partition_point(|&t| t < key);
+        probes += thresholds.len().max(2).ilog2() as u64;
+        if pos == thresholds.len() {
+            thresholds.push(key);
+        } else {
+            thresholds[pos] = key;
         }
-        carry = min_opt(carry, Some(k));
+        values.push(pos as u32 + 1);
     }
-    out
+    let n = values.len() as u64;
+    metrics.add_edges(n);
+    metrics.add_probes(probes);
+    metrics.add_states(n);
+    (values, thresholds.len() as u32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn simulate_rounds(keys: &[u64], rule: TieRule) -> Vec<Vec<(usize, u64)>> {
+    /// The prefix-minimum records of one round over `keys`, by a linear scan.
+    fn reference_prefix_minima(keys: &[(usize, u64)]) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        let mut carry: Option<u64> = None;
+        for &(pos, k) in keys {
+            if is_record(k, carry) {
+                out.push((pos, k));
+            }
+            carry = min_opt(carry, Some(k));
+        }
+        out
+    }
+
+    fn simulate_rounds(keys: &[u64]) -> Vec<Vec<(usize, u64)>> {
         // Oracle: repeatedly take prefix-min records from the remaining list.
         let mut remaining: Vec<(usize, u64)> = keys.iter().copied().enumerate().collect();
         let mut rounds = Vec::new();
         while !remaining.is_empty() {
-            let records = reference_prefix_minima(&remaining, rule);
+            let records = reference_prefix_minima(&remaining);
             let picked: std::collections::HashSet<usize> =
                 records.iter().map(|&(p, _)| p).collect();
             remaining.retain(|&(p, _)| !picked.contains(&p));
@@ -437,22 +425,32 @@ mod tests {
         rounds
     }
 
-    fn check_against_oracle(keys: &[u64], rule: TieRule) {
-        let mut tree = TournamentTree::new(keys, rule);
-        let oracle = simulate_rounds(keys, rule);
+    fn check_against_oracle(keys: &[u64]) {
+        let mut tree = TournamentTree::new(keys);
+        let oracle = simulate_rounds(keys);
+        let mut values = vec![0u32; keys.len()];
         for (round, want) in oracle.iter().enumerate() {
             let got = tree.extract_prefix_minima();
             assert_eq!(&got, want, "round {round} mismatch for {keys:?}");
+            for &(pos, _) in want {
+                values[pos] = round as u32 + 1;
+            }
         }
         assert!(tree.extract_prefix_minima().is_empty());
-        assert_eq!(tree.active_count(), 0);
+        // The sequential threshold loop assigns every key its round.
+        let seq = sequential_staircase(keys.iter().copied(), &MetricsCollector::new());
+        assert_eq!(
+            seq,
+            (values, oracle.len() as u32),
+            "sequential for {keys:?}"
+        );
     }
 
     #[test]
     fn example_from_paper_figure2() {
         // Input sequence of Fig. 2(a): 7 3 6 8 1 4 2 5.
         let keys = [7u64, 3, 6, 8, 1, 4, 2, 5];
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
+        let mut tree = TournamentTree::new(&keys);
         // Round 1: prefix minima are 7, 3, 1 (positions 0, 1, 4).
         assert_eq!(tree.extract_prefix_minima(), vec![(0, 7), (1, 3), (4, 1)]);
         // Round 2: remaining 6 8 4 2 5 -> prefix minima 6, 4, 2.
@@ -467,40 +465,36 @@ mod tests {
         // The number of extraction rounds equals the LIS length of the input
         // (Theorem 3.1's span argument).
         let keys = [7u64, 3, 6, 8, 1, 4, 2, 5];
-        let rounds = simulate_rounds(&keys, TieRule::TiesAreRecords).len();
+        let rounds = simulate_rounds(&keys).len();
         assert_eq!(rounds, 3); // LIS of the Fig. 2 sequence is 3 (e.g. 3 4 5).
     }
 
     #[test]
     fn increasing_input_one_round() {
         let keys: Vec<u64> = (0..1000).collect();
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
+        let mut tree = TournamentTree::new(&keys);
         let r1 = tree.extract_prefix_minima();
         assert_eq!(r1.len(), 1, "only the first element is a record");
         // Decreasing input: everything is a record in round one.
         let keys: Vec<u64> = (0..1000).rev().collect();
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
+        let mut tree = TournamentTree::new(&keys);
         assert_eq!(tree.extract_prefix_minima().len(), 1000);
         assert!(tree.extract_prefix_minima().is_empty());
     }
 
     #[test]
-    fn ties_rules_differ() {
+    fn ties_are_records() {
         let keys = [5u64, 5, 5];
-        let mut with_ties = TournamentTree::new(&keys, TieRule::TiesAreRecords);
-        assert_eq!(with_ties.extract_prefix_minima().len(), 3);
-        let mut no_ties = TournamentTree::new(&keys, TieRule::TiesBlocked);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
+        let mut tree = TournamentTree::new(&keys);
+        assert_eq!(tree.extract_prefix_minima().len(), 3);
+        assert!(tree.extract_prefix_minima().is_empty());
     }
 
     #[test]
     fn empty_and_singleton() {
-        let mut t: TournamentTree<u64> = TournamentTree::new(&[], TieRule::TiesAreRecords);
-        assert!(t.is_empty());
+        let mut t: TournamentTree<u64> = TournamentTree::new(&[]);
         assert!(t.extract_prefix_minima().is_empty());
-        let mut t = TournamentTree::new(&[42u64], TieRule::TiesAreRecords);
+        let mut t = TournamentTree::new(&[42u64]);
         assert_eq!(t.extract_prefix_minima(), vec![(0, 42)]);
         assert!(t.extract_prefix_minima().is_empty());
     }
@@ -512,21 +506,11 @@ mod tests {
         for &n in &[
             1usize, 2, 3, 10, 63, 64, 65, 257, 1000, 1023, 1024, 1025, 5000,
         ] {
-            let keys: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 11) % 997).collect();
-            check_against_oracle(&keys, TieRule::TiesAreRecords);
-            check_against_oracle(&keys, TieRule::TiesBlocked);
+            for modulus in [997u64, 5] {
+                let keys: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 11) % modulus).collect();
+                check_against_oracle(&keys);
+            }
         }
-    }
-
-    #[test]
-    fn min_active_tracks_extractions() {
-        let keys = [9u64, 2, 7, 4];
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
-        assert_eq!(tree.min_active(), Some(2));
-        tree.extract_prefix_minima(); // removes 9 and 2
-        assert_eq!(tree.min_active(), Some(4));
-        tree.extract_prefix_minima(); // removes 7 and 4
-        assert_eq!(tree.min_active(), None);
     }
 
     #[test]
@@ -534,12 +518,11 @@ mod tests {
         // A tiny key in block 0 must block everything in later blocks.
         let mut keys = vec![1_000_000u64; 3000];
         keys[0] = 0;
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesBlocked);
+        let mut tree = TournamentTree::new(&keys);
         assert_eq!(tree.extract_prefix_minima(), vec![(0, 0)]);
-        // With the blocker gone, every remaining (equal) key ties; under
-        // TiesBlocked only the first survives per round... the first element
-        // of the remaining sequence is the sole record.
-        assert_eq!(tree.extract_prefix_minima(), vec![(1, 1_000_000)]);
+        // With the blocker gone, every remaining (equal) key is a record.
+        assert_eq!(tree.extract_prefix_minima().len(), 2999);
+        assert!(tree.extract_prefix_minima().is_empty());
     }
 
     #[test]
@@ -548,7 +531,7 @@ mod tests {
         let keys: Vec<u64> = (0..n as u64)
             .map(|i| (i * 2654435761) % 1_000_003)
             .collect();
-        let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
+        let mut tree = TournamentTree::new(&keys);
         let mut total = 0usize;
         let mut rounds = 0usize;
         loop {
@@ -561,6 +544,5 @@ mod tests {
             assert!(rounds <= n, "cannot need more rounds than elements");
         }
         assert_eq!(total, n);
-        assert_eq!(tree.active_count(), 0);
     }
 }

@@ -3,6 +3,8 @@
 //! paper uses (LIS <-> LCS reduction, GLWS <-> k-GLWS, OAT <-> interval DP,
 //! post-office workloads <-> Lemma 4.5 round counts).
 
+mod support;
+
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -113,18 +115,8 @@ fn tree_glws_on_a_path_equals_sequence_glws() {
 fn explicit_dag_cordon_reproduces_lis_frontiers() {
     // Theorem 2.1 cross-check: the generic cordon driver on the explicit LIS
     // DAG finalizes states in the same rounds as the specialized algorithm.
-    use parallel_dp::core::{EdgeWeightedDag, Objective};
     let a = workloads::random_sequence(80, 1000, 4);
-    let mut dag = EdgeWeightedDag::new(a.len(), Objective::Maximize);
-    for i in 0..a.len() {
-        dag.set_boundary(i, 1);
-        for j in 0..i {
-            if a[j] < a[i] {
-                dag.add_edge(j, i, 1);
-            }
-        }
-    }
-    let run = dag.solve_cordon();
+    let run = support::lis_dag(&a).solve_cordon();
     let lis = parallel_lis(&a);
     assert_eq!(run.rounds() as u32, lis.length);
     let values: Vec<u32> = run.values.iter().map(|&v| v as u32).collect();

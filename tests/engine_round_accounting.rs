@@ -3,6 +3,8 @@
 //! frontier telemetry every parallel algorithm now reports, and the typed
 //! stall guard.
 
+mod support;
+
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -125,17 +127,7 @@ fn every_parallel_algorithm_reports_per_round_frontiers() {
     );
 
     // The explicit-DAG reference.
-    use parallel_dp::core::{EdgeWeightedDag, Objective};
-    let mut dag = EdgeWeightedDag::new(50, Objective::Maximize);
-    let seq = workloads::random_sequence(50, 100, 11);
-    for i in 0..50 {
-        dag.set_boundary(i, 1);
-        for j in 0..i {
-            if seq[j] < seq[i] {
-                dag.add_edge(j, i, 1);
-            }
-        }
-    }
+    let dag = support::lis_dag(&workloads::random_sequence(50, 100, 11));
     assert_frontier_telemetry_consistent(&dag.solve_cordon().metrics);
 }
 

@@ -1,4 +1,4 @@
-//! Reference Cordon Algorithm over explicitly-given DP DAGs.
+//! Test support: the reference Cordon Algorithm over explicitly-given DP DAGs.
 //!
 //! This module is a direct, executable transcription of Sec. 2.3: states,
 //! weighted transitions `f_{i,j}(D[j]) = D[j] + w_{j,i}`, sentinels placed on
@@ -14,9 +14,12 @@
 //!   which the per-problem span bounds are stated in terms of;
 //! * it is the oracle the work-efficient algorithms are property-tested
 //!   against.
+//!
+//! Each test binary that declares `mod support;` uses only part of it.
+#![allow(dead_code)]
 
-use crate::phase::{run_phase_parallel, FrontierArena, PhaseParallel};
-use pardp_parutils::{Metrics, MetricsCollector};
+use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
+use parallel_dp::parutils::{Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// Whether the recurrence takes a minimum or a maximum over its decisions.
@@ -257,11 +260,9 @@ impl PhaseParallel for ExplicitCordon<'_> {
                     .filter(|&&(i, _)| !finalized_ref[i])
                     .map(move |&(i, w)| (i, d_ref[j] + w))
             })
-            // analyze: allow(hot-round-alloc): the reference DAG engine's
-            // per-round update list is inherent to its formulation (updates
-            // are applied serially after the parallel scan); the tuned
-            // instantiations, not this baseline, carry the zero-alloc
-            // contract.
+            // The per-round update list is inherent to the formulation
+            // (updates are applied serially after the parallel scan); the
+            // tuned instantiations, not this reference, allocate nothing.
             .collect();
         metrics.add_edges(updates.len() as u64);
         for (i, cand) in updates {
@@ -279,8 +280,6 @@ impl PhaseParallel for ExplicitCordon<'_> {
         let size = frontier.len();
         // The per-round frontier log is part of this instance's output, so
         // the copy out of the arena is inherent.
-        // analyze: allow(hot-round-alloc): see above — the arena slice dies
-        // at round end, but the log must own its rounds.
         self.frontiers.push(frontier.to_vec());
         size
     }
@@ -313,134 +312,17 @@ impl CordonRun {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Build the LIS DAG of an input sequence: state i has boundary 1 and an
-    /// edge from every j < i with a[j] < a[i] of weight 1 (Recurrence 2).
-    fn lis_dag(a: &[i64]) -> EdgeWeightedDag {
-        let mut dag = EdgeWeightedDag::new(a.len(), Objective::Maximize);
-        for i in 0..a.len() {
-            dag.set_boundary(i, 1);
-            for j in 0..i {
-                if a[j] < a[i] {
-                    dag.add_edge(j, i, 1);
-                }
-            }
-        }
-        dag
-    }
-
-    #[test]
-    fn cordon_matches_topological_on_paper_example() {
-        let a = [7i64, 3, 6, 8, 1, 4, 2, 5];
-        let dag = lis_dag(&a);
-        let topo = dag.solve_topological();
-        let run = dag.solve_cordon();
-        assert_eq!(run.values, topo);
-        // DP values from Fig. 2(a): 1 1 2 3 1 2 2 3.
-        assert_eq!(run.values, vec![1, 1, 2, 3, 1, 2, 2, 3]);
-        // The cordon finishes in LIS-length rounds (= 3 here).
-        assert_eq!(run.rounds(), 3);
-    }
-
-    #[test]
-    fn chain_dag_has_linear_depth() {
-        // A path 0 -> 1 -> ... -> n-1: every round finalizes exactly one state.
-        let n = 16;
-        let mut dag = EdgeWeightedDag::new(n, Objective::Minimize);
-        dag.set_boundary(0, 0);
-        for i in 1..n {
-            dag.add_edge(i - 1, i, 1);
-        }
-        let run = dag.solve_cordon();
-        assert_eq!(run.values, (0..n as i64).collect::<Vec<_>>());
-        assert_eq!(run.rounds(), n);
-        for (r, f) in run.frontiers.iter().enumerate() {
-            assert_eq!(f, &vec![r]);
-        }
-    }
-
-    #[test]
-    fn independent_states_finish_in_one_round() {
-        let n = 10;
-        let mut dag = EdgeWeightedDag::new(n, Objective::Minimize);
-        for i in 0..n {
-            dag.set_boundary(i, i as i64);
-        }
-        let run = dag.solve_cordon();
-        assert_eq!(run.rounds(), 1);
-        assert_eq!(run.values, (0..n as i64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn diamond_min_paths() {
-        // 0 -> {1,2} -> 3 with asymmetric weights; shortest path DP.
-        let mut dag = EdgeWeightedDag::new(4, Objective::Minimize);
-        dag.set_boundary(0, 0);
-        dag.add_edge(0, 1, 5);
-        dag.add_edge(0, 2, 1);
-        dag.add_edge(1, 3, 1);
-        dag.add_edge(2, 3, 10);
-        let topo = dag.solve_topological();
-        let run = dag.solve_cordon();
-        assert_eq!(run.values, topo);
-        assert_eq!(run.values[3], 6);
-        // 1 and 2 are both ready after round 1, 3 after round 2... but note 3
-        // depends on both so it needs max over the frontier rounds of its
-        // decisions + 1 = 3 rounds total? Actually 0 finalizes in round 1,
-        // {1,2} in round 2, {3} in round 3.
-        assert_eq!(run.rounds(), 3);
-    }
-
-    #[test]
-    fn random_dags_cordon_equals_topological() {
-        // Pseudo-random layered DAGs, both objectives.
-        for seed in 0..6u64 {
-            for &obj in &[Objective::Minimize, Objective::Maximize] {
-                let n = 40;
-                let mut dag = EdgeWeightedDag::new(n, obj);
-                let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-                let mut next = || {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state
-                };
-                dag.set_boundary(0, 0);
-                for i in 1..n {
-                    if next() % 4 == 0 {
-                        dag.set_boundary(i, (next() % 20) as i64);
-                    }
-                    // Random back edges.
-                    for j in 0..i {
-                        if next() % 5 == 0 {
-                            dag.add_edge(j, i, (next() % 15) as i64 - 5);
-                        }
-                    }
-                }
-                let topo = dag.solve_topological();
-                let run = dag.solve_cordon();
-                assert_eq!(run.values, topo, "seed {seed}, objective {obj:?}");
-                assert!(run.rounds() <= n);
+/// The LIS DAG of a sequence: state `i` has boundary 1 and an edge of weight
+/// 1 from every `j < i` with `a[j] < a[i]` (Recurrence 2).
+pub fn lis_dag(a: &[i64]) -> EdgeWeightedDag {
+    let mut dag = EdgeWeightedDag::new(a.len(), Objective::Maximize);
+    for i in 0..a.len() {
+        dag.set_boundary(i, 1);
+        for j in 0..i {
+            if a[j] < a[i] {
+                dag.add_edge(j, i, 1);
             }
         }
     }
-
-    #[test]
-    fn metrics_are_populated() {
-        let a = [3i64, 1, 4, 1, 5, 9, 2, 6];
-        let run = lis_dag(&a).solve_cordon();
-        assert_eq!(run.metrics.rounds as usize, run.rounds());
-        assert_eq!(run.metrics.states_finalized as usize, a.len());
-        assert!(run.metrics.edges_relaxed > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "topological order")]
-    fn rejects_non_topological_edges() {
-        let mut dag = EdgeWeightedDag::new(3, Objective::Minimize);
-        dag.add_edge(2, 1, 0);
-    }
+    dag
 }
